@@ -8,28 +8,76 @@
 //! 128-bit [`fingerprint`](Canonical::fingerprint). That key is what lets
 //! a solve cache serve a relabeled resubmission without re-solving.
 //!
-//! The canonical job order comes from iterated color refinement (jobs
-//! start with invariant colors derived from their processing data, then
-//! repeatedly absorb the multiset of their neighbors' colors) followed by
-//! an individualization search over the remaining ties that keeps the
-//! lexicographically smallest certificate. Fully interchangeable tie
-//! cells — every outside job adjacent to all or none of the cell, the
-//! cell itself complete or empty — are ordered directly without
-//! branching, which covers the common symmetric families (empty graphs,
-//! complete bipartite blocks, equal-size job classes) in linear time.
-//! A node budget bounds the search on adversarially symmetric inputs;
-//! past it the canonical form is still deterministic and self-consistent
-//! but may distinguish some relabelings (costing a cache miss, never a
-//! wrong answer — caches must compare [`Canonical::certificate`] bytes
-//! on lookup, not just the fingerprint).
+//! # The job order
+//!
+//! Jobs start with invariant colors derived from their processing data
+//! and are refined by iterated color refinement (every job repeatedly
+//! absorbs the sorted multiset of its neighbors' colors until the
+//! partition stops growing). An individualization-refinement search then
+//! resolves the remaining ties: it branches on the first tied cell,
+//! individualizes each candidate in turn, refines, and recurses until the
+//! coloring is discrete. Each such leaf orders the jobs by color, and its
+//! key is the leaf's colors followed by the edge list relabeled in that
+//! order. The canonical order is the first leaf, in depth-first order,
+//! with the smallest key. Fully interchangeable tie cells — every outside
+//! job adjacent to all or none of the cell, the cell itself complete or
+//! empty — are ordered directly without branching, which covers empty
+//! graphs, complete bipartite blocks and equal-size job classes in linear
+//! time.
+//!
+//! # Pruning with automorphisms
+//!
+//! Symmetric graphs (unions of cycles, crowns, cubic graphs with unit
+//! jobs) give search trees with one leaf per automorphism. The search
+//! prunes them the way nauty-style canonical labelers do:
+//!
+//! - **Automorphisms from leaves.** A leaf whose color key equals the
+//!   first leaf's, or whose whole key equals the best leaf's, maps that
+//!   earlier leaf's order onto its own. Once checked to be a graph
+//!   automorphism, the permutation is kept as a generator.
+//! - **Orbit pruning.** At a branching node, the generators that map every
+//!   job to one of the same color at that node merge candidates into
+//!   orbits (union-find, smallest job as root). A candidate whose orbit
+//!   already holds an explored candidate is skipped.
+//! - **Backjumping.** When a new generator puts the candidate being
+//!   explored at some ancestor into the orbit of an explored sibling, the
+//!   rest of that candidate's subtree is abandoned at once.
+//! - **Twins.** Jobs with equal processing data and equal neighborhoods
+//!   are swapped by an automorphism, so they seed each node's orbits
+//!   before any leaf is reached. Twin classes are computed once per
+//!   instance and shared by all `R` machine orders; nodes skip orbit work
+//!   entirely while there are neither twins nor generators.
+//! - **Lazy edge keys.** A leaf's edge key is built only when its color
+//!   key ties the best leaf's.
+//!
+//! **Same form as the unpruned search.** A subtree is skipped only when
+//! an automorphism preserving its parent's coloring maps an earlier
+//! sibling's subtree onto it. Both then hold the same leaf keys, so the
+//! skipped one can neither improve the best key nor hold its first
+//! occurrence. The pruned search therefore returns exactly the leaf the
+//! plain search returns: the same certificate, fingerprint, job and
+//! machine permutations, cache keys and snapshot files. A reference
+//! property test in this module and a registry digest in `bisched-lab`
+//! pin this.
+//!
+//! # The budget
+//!
+//! A search budget still bounds the number of explored candidates. It
+//! now binds only where many candidates are *not* equivalent, e.g. large
+//! graphs whose automorphism group is small but whose refinement leaves
+//! big cells. Past it the canonical form is still deterministic and
+//! self-consistent but may distinguish some relabelings (costing a cache
+//! miss, never a wrong answer — caches must compare
+//! [`Canonical::certificate`] bytes on lookup, not just the fingerprint).
 
 use crate::instance::{Instance, MachineEnvironment};
 use crate::io::InstanceData;
 use crate::schedule::Schedule;
 use bisched_graph::Graph;
+use std::cmp::Ordering;
 
-/// Search budget: maximum number of candidate certificates the
-/// individualization search materializes before falling back to
+/// Search budget: maximum number of candidate subtrees the
+/// individualization search explores before falling back to
 /// first-candidate-only exploration.
 const SEARCH_BUDGET: usize = 4096;
 
@@ -74,31 +122,68 @@ impl Canonical {
 
 /// Computes the canonical form of `inst`. Deterministic; invariant under
 /// job (and `R` machine) relabelings for all but search-budget-exceeding
-/// pathologically symmetric inputs (see the module docs).
+/// inputs (see the module docs).
 pub fn canonicalize(inst: &Instance) -> Canonical {
+    let mut search = OrderSearch::new(inst);
+    canonicalize_by(inst, |init| search.job_order(init))
+}
+
+/// The canonical form of `inst`, with `job_order` mapping initial job
+/// colors to the canonical job order.
+fn canonicalize_by(inst: &Instance, mut job_order: impl FnMut(&[u64]) -> Vec<u32>) -> Canonical {
     match inst.env() {
-        MachineEnvironment::Unrelated { times } => canonicalize_unrelated(inst, times),
-        _ => canonicalize_pq(inst),
+        // `P`/`Q`: machines are already canonical (anonymous /
+        // speed-sorted), so only the job order is searched.
+        MachineEnvironment::Identical { .. } | MachineEnvironment::Uniform { .. } => {
+            let order = job_order(&processing_colors(inst));
+            let machine_perm = (0..inst.num_machines() as u32).collect();
+            Candidate::new(inst, order, machine_perm).finish()
+        }
+        // `R`: machine rows are keyed by their sorted multiset; ties
+        // between rows are broken by enumerating their orderings
+        // (bounded) and keeping the smallest certificate.
+        MachineEnvironment::Unrelated { times } => {
+            let mut best: Option<Candidate> = None;
+            for machine_perm in
+                enumerate_machine_orders(&machine_classes(times), MACHINE_ORDER_BUDGET)
+            {
+                let order = job_order(&column_colors(times, &machine_perm));
+                let cand = Candidate::new(inst, order, machine_perm);
+                if best
+                    .as_ref()
+                    .is_none_or(|b| cand.certificate < b.certificate)
+                {
+                    best = Some(cand);
+                }
+            }
+            best.expect("at least one machine order").finish()
+        }
     }
 }
 
-/// `P`/`Q`: machines are already canonical (anonymous / speed-sorted), so
-/// only the job order is searched.
-fn canonicalize_pq(inst: &Instance) -> Canonical {
-    let n = inst.num_jobs();
-    let init: Vec<u64> = (0..n)
+/// Initial `P`/`Q` job colors: the processing time.
+fn processing_colors(inst: &Instance) -> Vec<u64> {
+    (0..inst.num_jobs())
         .map(|j| mix(0x9e37_79b9, inst.processing(j as u32)))
-        .collect();
-    let order = canonical_job_order(inst.graph(), &init);
-    let machine_perm: Vec<u32> = (0..inst.num_machines() as u32).collect();
-    build_canonical(inst, order, machine_perm)
+        .collect()
 }
 
-/// `R`: machine rows are keyed by their sorted multiset; ties between
-/// rows are broken by enumerating their orderings (bounded) and keeping
-/// the smallest certificate.
-fn canonicalize_unrelated(inst: &Instance, times: &[Vec<u64>]) -> Canonical {
-    // Invariant machine key: the sorted multiset of the row.
+/// Initial `R` job colors under a fixed machine order: with the order
+/// fixed, a job's exact column is invariant job data.
+fn column_colors(times: &[Vec<u64>], machine_perm: &[u32]) -> Vec<u64> {
+    let n = times.first().map_or(0, Vec::len);
+    (0..n)
+        .map(|j| {
+            machine_perm
+                .iter()
+                .fold(0xc0de_u64, |h, &i| mix(h, times[i as usize][j]))
+        })
+        .collect()
+}
+
+/// Machines grouped into tie classes of identical sorted rows, classes in
+/// ascending key order, members in ascending id order.
+fn machine_classes(times: &[Vec<u64>]) -> Vec<Vec<u32>> {
     let mut keyed: Vec<(Vec<u64>, u32)> = times
         .iter()
         .enumerate()
@@ -109,46 +194,10 @@ fn canonicalize_unrelated(inst: &Instance, times: &[Vec<u64>]) -> Canonical {
         })
         .collect();
     keyed.sort();
-    // Tie classes of machines with identical keys.
-    let mut classes: Vec<Vec<u32>> = Vec::new();
-    for (k, i) in keyed {
-        match classes.last_mut() {
-            Some(last)
-                if {
-                    let mut lk = times[last[0] as usize].clone();
-                    lk.sort_unstable();
-                    lk == k
-                } =>
-            {
-                last.push(i)
-            }
-            _ => classes.push(vec![i]),
-        }
-    }
-    let mut best: Option<Canonical> = None;
-    for machine_perm in enumerate_machine_orders(&classes, MACHINE_ORDER_BUDGET) {
-        // With a fixed machine order, a job's exact column is invariant
-        // job data; hash it into the initial color.
-        let n = inst.num_jobs();
-        let init: Vec<u64> = (0..n)
-            .map(|j| {
-                let mut h = 0xc0de_u64;
-                for &i in &machine_perm {
-                    h = mix(h, times[i as usize][j]);
-                }
-                h
-            })
-            .collect();
-        let order = canonical_job_order(inst.graph(), &init);
-        let cand = build_canonical(inst, order, machine_perm);
-        if best
-            .as_ref()
-            .is_none_or(|b| cand.certificate < b.certificate)
-        {
-            best = Some(cand);
-        }
-    }
-    best.expect("at least one machine order")
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|class| class.iter().map(|&(_, i)| i).collect())
+        .collect()
 }
 
 /// All machine orders compatible with the sorted tie classes, capped at
@@ -203,72 +252,91 @@ fn permutations(items: &[u32], cap: usize) -> Vec<Vec<u32>> {
     out
 }
 
-/// Assembles the canonical instance + certificate from a job order and a
-/// machine order.
-fn build_canonical(inst: &Instance, order: Vec<u32>, machine_perm: Vec<u32>) -> Canonical {
-    let n = inst.num_jobs();
-    let mut inv = vec![0u32; n];
-    for (c, &j) in order.iter().enumerate() {
-        inv[j as usize] = c as u32;
+/// One candidate normal form: the relabeled data and its certificate.
+/// The instance itself is built only for the winning candidate.
+struct Candidate {
+    data: InstanceData,
+    job_perm: Vec<u32>,
+    machine_perm: Vec<u32>,
+    certificate: Vec<u8>,
+}
+
+impl Candidate {
+    /// Relabels `inst` by a job order and a machine order.
+    fn new(inst: &Instance, order: Vec<u32>, machine_perm: Vec<u32>) -> Candidate {
+        let n = inst.num_jobs();
+        let mut inv = vec![0u32; n];
+        for (c, &j) in order.iter().enumerate() {
+            inv[j as usize] = c as u32;
+        }
+        // Edges in canonical indices, normalized and sorted.
+        let mut edges: Vec<(u32, u32)> = inst
+            .graph()
+            .edges()
+            .map(|(u, v)| {
+                let (a, b) = (inv[u as usize], inv[v as usize]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        edges.sort_unstable();
+        let data = match inst.env() {
+            MachineEnvironment::Identical { m } => InstanceData {
+                env: "P".into(),
+                machines: Some(*m),
+                speeds: None,
+                processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
+                times: None,
+                jobs: n,
+                edges,
+            },
+            MachineEnvironment::Uniform { speeds } => InstanceData {
+                env: "Q".into(),
+                machines: None,
+                speeds: Some(speeds.clone()),
+                processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
+                times: None,
+                jobs: n,
+                edges,
+            },
+            MachineEnvironment::Unrelated { times } => InstanceData {
+                env: "R".into(),
+                machines: None,
+                speeds: None,
+                processing: None,
+                times: Some(
+                    machine_perm
+                        .iter()
+                        .map(|&i| {
+                            order
+                                .iter()
+                                .map(|&j| times[i as usize][j as usize])
+                                .collect()
+                        })
+                        .collect(),
+                ),
+                jobs: n,
+                edges,
+            },
+        };
+        Candidate {
+            certificate: certificate_bytes(&data),
+            data,
+            job_perm: order,
+            machine_perm,
+        }
     }
-    // Edges in canonical indices, normalized and sorted.
-    let mut edges: Vec<(u32, u32)> = inst
-        .graph()
-        .edges()
-        .map(|(u, v)| {
-            let (a, b) = (inv[u as usize], inv[v as usize]);
-            (a.min(b), a.max(b))
-        })
-        .collect();
-    edges.sort_unstable();
-    let data = match inst.env() {
-        MachineEnvironment::Identical { m } => InstanceData {
-            env: "P".into(),
-            machines: Some(*m),
-            speeds: None,
-            processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-            times: None,
-            jobs: n,
-            edges,
-        },
-        MachineEnvironment::Uniform { speeds } => InstanceData {
-            env: "Q".into(),
-            machines: None,
-            speeds: Some(speeds.clone()),
-            processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-            times: None,
-            jobs: n,
-            edges,
-        },
-        MachineEnvironment::Unrelated { times } => InstanceData {
-            env: "R".into(),
-            machines: None,
-            speeds: None,
-            processing: None,
-            times: Some(
-                machine_perm
-                    .iter()
-                    .map(|&i| {
-                        order
-                            .iter()
-                            .map(|&j| times[i as usize][j as usize])
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            jobs: n,
-            edges,
-        },
-    };
-    let certificate = certificate_bytes(&data);
-    let fingerprint = fnv128(&certificate);
-    let instance = data.into_instance().expect("canonical relabeling is valid");
-    Canonical {
-        instance,
-        job_perm: order,
-        machine_perm,
-        certificate,
-        fingerprint,
+
+    fn finish(self) -> Canonical {
+        Canonical {
+            instance: self
+                .data
+                .into_instance()
+                .expect("canonical relabeling is valid"),
+            job_perm: self.job_perm,
+            machine_perm: self.machine_perm,
+            fingerprint: fnv128(&self.certificate),
+            certificate: self.certificate,
+        }
     }
 }
 
@@ -329,154 +397,265 @@ fn mix(seed: u64, x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Canonical job order: color refinement, then individualization search
-/// over the remaining ties keeping the smallest certificate.
-fn canonical_job_order(graph: &Graph, init: &[u64]) -> Vec<u32> {
-    let mut budget = SEARCH_BUDGET;
-    let mut best: Option<(Vec<u8>, Vec<u32>)> = None;
-    search_order(graph, init.to_vec(), &mut budget, &mut best);
-    best.expect("search yields at least one order").1
+/// Marks a job without a twin.
+const NO_TWIN: u32 = u32::MAX;
+
+/// The automorphism-pruned individualization-refinement search for one
+/// instance. Twin classes and generators are graph properties, so they
+/// carry over between the calls an `R` instance makes per machine order;
+/// the leaves and the budget are per call.
+struct OrderSearch<'a> {
+    inst: &'a Instance,
+    /// `twins[j]`: the smallest job with `j`'s processing data and
+    /// neighborhood, or [`NO_TWIN`]; empty when no job has a twin.
+    /// Computed at the instance's first branching node.
+    twins: Option<Vec<u32>>,
+    /// Graph automorphisms found at leaves.
+    generators: Vec<Generator>,
+    budget: usize,
+    /// The branching nodes of the current path, by depth, and the node
+    /// being refined below them. Buffers are reused across nodes.
+    levels: Vec<Level>,
+    /// Leaves reached in the current call.
+    leaves: usize,
+    first: Leaf,
+    best: Leaf,
+    /// Whether the best leaf is still the first one (`best` is then
+    /// stale).
+    best_is_first: bool,
+    scratch: Scratch,
 }
 
-/// One search node: refine, shortcut or branch on the first tied cell.
-fn search_order(
-    graph: &Graph,
-    mut colors: Vec<u64>,
-    budget: &mut usize,
-    best: &mut Option<(Vec<u8>, Vec<u32>)>,
-) {
-    refine(graph, &mut colors);
-    loop {
-        let cells = tied_cells(&colors);
-        let Some(cell) = cells.first().cloned() else {
-            // Discrete: order by color (all distinct).
-            let mut order: Vec<u32> = (0..colors.len() as u32).collect();
-            order.sort_unstable_by_key(|&j| colors[j as usize]);
-            let key = order_key(graph, &colors, &order);
-            if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
-                *best = Some((key, order));
-            }
-            return;
-        };
-        if is_interchangeable_cell(graph, &colors, &cell) {
-            // Any ordering of the cell yields the same certificate:
-            // individualize all members at once, in current order, and
-            // keep refining without branching.
-            for (rank, &j) in cell.iter().enumerate() {
-                colors[j as usize] = mix(colors[j as usize], rank as u64 + 1);
-            }
-            refine(graph, &mut colors);
-            continue;
-        }
-        // Branch: individualize each candidate in the cell.
-        let candidates: &[u32] = if *budget == 0 { &cell[..1] } else { &cell };
-        for &j in candidates {
-            if *budget > 0 {
-                *budget -= 1;
-            }
-            let mut next = colors.clone();
-            next[j as usize] = mix(next[j as usize], 0x1d1f);
-            search_order(graph, next, budget, best);
-        }
-        return;
+/// A graph automorphism and the jobs it moves.
+struct Generator {
+    perm: Vec<u32>,
+    support: Vec<u32>,
+}
+
+impl Generator {
+    /// Whether every job is mapped to one of the same color.
+    fn preserves(&self, colors: &[u64]) -> bool {
+        self.support
+            .iter()
+            .all(|&x| colors[self.perm[x as usize] as usize] == colors[x as usize])
     }
 }
 
-/// Stable refinement: each round every job absorbs the sorted multiset of
-/// its neighbors' colors; stops when the partition stops growing.
-fn refine(graph: &Graph, colors: &mut [u64]) {
-    let mut distinct = count_distinct(colors);
-    loop {
-        let mut next = vec![0u64; colors.len()];
-        for j in 0..colors.len() {
-            let mut nb: Vec<u64> = graph
-                .neighbors(j as u32)
-                .iter()
-                .map(|&v| colors[v as usize])
-                .collect();
-            nb.sort_unstable();
-            let mut h = mix(0xace1, colors[j]);
-            for c in nb {
-                h = mix(h, c);
+/// One node of the current search path.
+#[derive(Default)]
+struct Level {
+    /// The node's coloring: refined, with shortcut cells individualized.
+    colors: Vec<u64>,
+    /// The cell branched on, ascending job ids.
+    cell: Vec<u32>,
+    /// Union-find parents over job ids, smallest id as root, merging
+    /// candidates that an automorphism preserving `colors` maps onto each
+    /// other. Empty while every orbit is trivial.
+    orbits: Vec<u32>,
+    /// The candidate whose subtree is being explored.
+    current: u32,
+}
+
+impl Level {
+    /// Whether no smaller candidate shares `j`'s orbit. Candidates are
+    /// explored in ascending order, so a non-root's orbit holds an
+    /// explored one.
+    fn is_orbit_root(&mut self, j: u32) -> bool {
+        self.orbits.is_empty() || find(&mut self.orbits, j) == j
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        if self.orbits.is_empty() {
+            self.orbits.extend(0..self.colors.len() as u32);
+        }
+        let (ra, rb) = (find(&mut self.orbits, a), find(&mut self.orbits, b));
+        if ra != rb {
+            self.orbits[ra.max(rb) as usize] = ra.min(rb);
+        }
+    }
+
+    /// Merges the orbits `g` induces on the cell if `g` preserves this
+    /// node's coloring; returns whether it does.
+    fn absorb(&mut self, g: &Generator) -> bool {
+        if !g.preserves(&self.colors) {
+            return false;
+        }
+        let cell_color = self.colors[self.cell[0] as usize];
+        for &x in &g.support {
+            if self.colors[x as usize] == cell_color {
+                self.union(x, g.perm[x as usize]);
             }
-            next[j] = h;
         }
-        let d = count_distinct(&next);
-        colors.copy_from_slice(&next);
-        if d == distinct {
-            return;
-        }
-        distinct = d;
+        true
     }
 }
 
-fn count_distinct(colors: &[u64]) -> usize {
-    let mut sorted = colors.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    sorted.len()
-}
-
-/// Non-singleton color classes, ordered by color value, members by id.
-fn tied_cells(colors: &[u64]) -> Vec<Vec<u32>> {
-    let mut by_color: Vec<(u64, u32)> = colors
-        .iter()
-        .enumerate()
-        .map(|(j, &c)| (c, j as u32))
-        .collect();
-    by_color.sort_unstable();
-    let mut cells = Vec::new();
-    let mut i = 0;
-    while i < by_color.len() {
-        let mut k = i + 1;
-        while k < by_color.len() && by_color[k].0 == by_color[i].0 {
-            k += 1;
-        }
-        if k - i > 1 {
-            cells.push(by_color[i..k].iter().map(|&(_, j)| j).collect());
-        }
-        i = k;
+/// Union-find root with path halving.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let up = parent[parent[x as usize] as usize];
+        parent[x as usize] = up;
+        x = up;
     }
-    cells
+    x
 }
 
-/// Whether every job outside the cell is adjacent to all or none of it,
-/// and the cell's induced subgraph is complete or empty — i.e. the cell's
-/// members are fully interchangeable and need no branching.
-fn is_interchangeable_cell(graph: &Graph, colors: &[u64], cell: &[u32]) -> bool {
-    let k = cell.len();
-    let in_cell: Vec<bool> = {
-        let mut mask = vec![false; colors.len()];
+/// A leaf of the search: a discrete coloring.
+#[derive(Default)]
+struct Leaf {
+    /// The jobs in ascending color order: a candidate canonical order.
+    order: Vec<u32>,
+    /// Their colors: the first half of the leaf key.
+    colors: Vec<u64>,
+    /// The edge list relabeled by `order`: the second half, built when
+    /// first compared.
+    edges: Option<Vec<u8>>,
+}
+
+impl Leaf {
+    fn set(&mut self, sorted: &[(u64, u32)], edges: Option<Vec<u8>>) {
+        self.colors.clear();
+        self.colors.extend(sorted.iter().map(|&(c, _)| c));
+        self.order.clear();
+        self.order.extend(sorted.iter().map(|&(_, j)| j));
+        self.edges = edges;
+    }
+}
+
+/// Reusable buffers, sized for one instance.
+#[derive(Default)]
+struct Scratch {
+    next: Vec<u64>,
+    neighbor_colors: Vec<u64>,
+    distinct: Vec<u64>,
+    /// `(color, job)` pairs in ascending order.
+    sorted: Vec<(u64, u32)>,
+    in_cell: Vec<bool>,
+    outside_hits: Vec<u32>,
+    touched: Vec<u32>,
+    /// A candidate automorphism.
+    gamma: Vec<u32>,
+    inv: Vec<u32>,
+    /// Per twin class: its first member in the current cell.
+    twin_slot: Vec<u32>,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Scratch {
+        Scratch {
+            in_cell: vec![false; n],
+            outside_hits: vec![0; n],
+            gamma: vec![0; n],
+            inv: vec![0; n],
+            twin_slot: vec![NO_TWIN; n],
+            ..Scratch::default()
+        }
+    }
+
+    /// Stable refinement: each round every job absorbs the sorted
+    /// multiset of its neighbors' colors; stops after the first round
+    /// that does not grow the partition.
+    fn refine(&mut self, graph: &Graph, colors: &mut [u64]) {
+        let mut distinct = self.count_distinct(colors);
+        loop {
+            self.next.clear();
+            for (j, &color) in colors.iter().enumerate() {
+                self.neighbor_colors.clear();
+                self.neighbor_colors.extend(
+                    graph
+                        .neighbors(j as u32)
+                        .iter()
+                        .map(|&v| colors[v as usize]),
+                );
+                self.neighbor_colors.sort_unstable();
+                let h = self
+                    .neighbor_colors
+                    .iter()
+                    .fold(mix(0xace1, color), |h, &c| mix(h, c));
+                self.next.push(h);
+            }
+            colors.copy_from_slice(&self.next);
+            let d = self.count_distinct(colors);
+            if d == distinct {
+                return;
+            }
+            distinct = d;
+        }
+    }
+
+    fn count_distinct(&mut self, colors: &[u64]) -> usize {
+        self.distinct.clear();
+        self.distinct.extend_from_slice(colors);
+        self.distinct.sort_unstable();
+        self.distinct.dedup();
+        self.distinct.len()
+    }
+
+    /// Sorts the jobs by color into `sorted` and returns the range of the
+    /// first tied cell: the smallest color held by two or more jobs,
+    /// members in ascending id order.
+    fn first_cell(&mut self, colors: &[u64]) -> Option<std::ops::Range<usize>> {
+        self.sorted.clear();
+        self.sorted
+            .extend(colors.iter().enumerate().map(|(j, &c)| (c, j as u32)));
+        self.sorted.sort_unstable();
+        let mut i = 0;
+        while i < self.sorted.len() {
+            let mut k = i + 1;
+            while k < self.sorted.len() && self.sorted[k].0 == self.sorted[i].0 {
+                k += 1;
+            }
+            if k - i > 1 {
+                return Some(i..k);
+            }
+            i = k;
+        }
+        None
+    }
+
+    /// Whether every job outside the cell is adjacent to all or none of
+    /// it, and the cell's induced subgraph is complete or empty — i.e.
+    /// the cell's members are fully interchangeable and need no
+    /// branching.
+    fn interchangeable(&mut self, graph: &Graph, cell: &[u32]) -> bool {
+        let k = cell.len();
         for &j in cell {
-            mask[j as usize] = true;
+            self.in_cell[j as usize] = true;
         }
-        mask
-    };
-    let mut inner_edges = 0usize;
-    let mut outside_counts = std::collections::HashMap::new();
-    for &j in cell {
-        for &v in graph.neighbors(j) {
-            if in_cell[v as usize] {
-                inner_edges += 1;
-            } else {
-                *outside_counts.entry(v).or_insert(0usize) += 1;
+        let mut inner_edges = 0usize;
+        for &j in cell {
+            for &v in graph.neighbors(j) {
+                if self.in_cell[v as usize] {
+                    inner_edges += 1;
+                } else {
+                    if self.outside_hits[v as usize] == 0 {
+                        self.touched.push(v);
+                    }
+                    self.outside_hits[v as usize] += 1;
+                }
             }
         }
+        inner_edges /= 2;
+        let ok = (inner_edges == 0 || inner_edges == k * (k - 1) / 2)
+            && self
+                .touched
+                .iter()
+                .all(|&v| self.outside_hits[v as usize] as usize == k);
+        for &j in cell {
+            self.in_cell[j as usize] = false;
+        }
+        for &v in &self.touched {
+            self.outside_hits[v as usize] = 0;
+        }
+        self.touched.clear();
+        ok
     }
-    inner_edges /= 2;
-    if inner_edges != 0 && inner_edges != k * (k - 1) / 2 {
-        return false;
-    }
-    outside_counts.values().all(|&c| c == k)
 }
 
-/// Certificate key of a discrete order: per-job initial-invariant colors
-/// would already be equal inside former ties, so the distinguishing data
-/// is the edge relation (plus the colors for cross-cell stability).
-fn order_key(graph: &Graph, colors: &[u64], order: &[u32]) -> Vec<u8> {
-    let n = order.len();
-    let mut inv = vec![0u32; n];
-    for (c, &j) in order.iter().enumerate() {
+/// The edge half of a leaf key: the edges relabeled by `order`,
+/// normalized, sorted, as little-endian bytes.
+fn edge_key(graph: &Graph, order: impl Iterator<Item = u32>, inv: &mut [u32]) -> Vec<u8> {
+    for (c, j) in order.enumerate() {
         inv[j as usize] = c as u32;
     }
     let mut edges: Vec<(u32, u32)> = graph
@@ -487,10 +666,7 @@ fn order_key(graph: &Graph, colors: &[u64], order: &[u32]) -> Vec<u8> {
         })
         .collect();
     edges.sort_unstable();
-    let mut key = Vec::with_capacity(n * 8 + edges.len() * 8);
-    for &j in order {
-        key.extend_from_slice(&colors[j as usize].to_le_bytes());
-    }
+    let mut key = Vec::with_capacity(edges.len() * 8);
     for (u, v) in edges {
         key.extend_from_slice(&u.to_le_bytes());
         key.extend_from_slice(&v.to_le_bytes());
@@ -498,13 +674,514 @@ fn order_key(graph: &Graph, colors: &[u64], order: &[u32]) -> Vec<u8> {
     key
 }
 
+/// Compares a leaf's colors with `key` as the little-endian byte strings
+/// the leaf key is made of.
+fn cmp_color_keys(sorted: &[(u64, u32)], key: &[u64]) -> Ordering {
+    sorted
+        .iter()
+        .map(|&(c, _)| c.swap_bytes())
+        .cmp(key.iter().map(|c| c.swap_bytes()))
+}
+
+/// Whether the permutation maps every edge onto an edge.
+fn is_automorphism(graph: &Graph, gamma: &[u32]) -> bool {
+    graph
+        .edges()
+        .all(|(u, v)| graph.has_edge(gamma[u as usize], gamma[v as usize]))
+}
+
+/// Twin classes: jobs with equal processing data (the `R` column) and
+/// equal neighborhoods, mapped to the smallest member. Empty when every
+/// class is a singleton.
+fn twin_classes(inst: &Instance) -> Vec<u32> {
+    let graph = inst.graph();
+    let key = |u: u32, v: u32| {
+        let data = match inst.env() {
+            MachineEnvironment::Unrelated { times } => times
+                .iter()
+                .map(|row| row[u as usize])
+                .cmp(times.iter().map(|row| row[v as usize])),
+            _ => inst.processing(u).cmp(&inst.processing(v)),
+        };
+        graph.neighbors(u).cmp(graph.neighbors(v)).then(data)
+    };
+    let mut jobs: Vec<u32> = (0..inst.num_jobs() as u32).collect();
+    jobs.sort_by(|&u, &v| key(u, v).then(u.cmp(&v)));
+    let mut twins = vec![NO_TWIN; jobs.len()];
+    let mut any = false;
+    for class in jobs.chunk_by(|&u, &v| key(u, v).is_eq()) {
+        if class.len() > 1 {
+            any = true;
+            for &j in class {
+                twins[j as usize] = class[0];
+            }
+        }
+    }
+    if any {
+        twins
+    } else {
+        Vec::new()
+    }
+}
+
+impl<'a> OrderSearch<'a> {
+    fn new(inst: &'a Instance) -> OrderSearch<'a> {
+        OrderSearch {
+            inst,
+            twins: None,
+            generators: Vec::new(),
+            budget: 0,
+            levels: Vec::new(),
+            leaves: 0,
+            first: Leaf::default(),
+            best: Leaf::default(),
+            best_is_first: true,
+            scratch: Scratch::new(inst.num_jobs()),
+        }
+    }
+
+    /// The canonical job order for the initial colors `init`.
+    fn job_order(&mut self, init: &[u64]) -> Vec<u32> {
+        self.budget = SEARCH_BUDGET;
+        self.leaves = 0;
+        if self.levels.is_empty() {
+            self.levels.push(Level::default());
+        }
+        self.levels[0].colors.clear();
+        self.levels[0].colors.extend_from_slice(init);
+        self.explore(0);
+        let best = if self.best_is_first {
+            &self.first
+        } else {
+            &self.best
+        };
+        best.order.clone()
+    }
+
+    /// Searches the subtree of the node at depth `d`, whose unrefined
+    /// coloring is in `levels[d]`. `Some(t)` abandons every node below
+    /// depth `t`: the candidate being explored at `t` turned out to be
+    /// equivalent to an explored sibling.
+    fn explore(&mut self, d: usize) -> Option<usize> {
+        let inst = self.inst;
+        let graph = inst.graph();
+        let level = &mut self.levels[d];
+        self.scratch.refine(graph, &mut level.colors);
+        loop {
+            let Some(range) = self.scratch.first_cell(&level.colors) else {
+                return self.leaf(d);
+            };
+            level.cell.clear();
+            level
+                .cell
+                .extend(self.scratch.sorted[range].iter().map(|&(_, j)| j));
+            if !self.scratch.interchangeable(graph, &level.cell) {
+                break;
+            }
+            // Any ordering of the cell yields the same leaves:
+            // individualize all members at once, in id order, and keep
+            // refining without branching.
+            for (rank, &j) in level.cell.iter().enumerate() {
+                level.colors[j as usize] = mix(level.colors[j as usize], rank as u64 + 1);
+            }
+            self.scratch.refine(graph, &mut level.colors);
+        }
+        self.seed_orbits(d);
+        let width = if self.budget == 0 {
+            1
+        } else {
+            self.levels[d].cell.len()
+        };
+        for idx in 0..width {
+            let c = self.levels[d].cell[idx];
+            if !self.levels[d].is_orbit_root(c) {
+                continue;
+            }
+            self.budget = self.budget.saturating_sub(1);
+            self.levels[d].current = c;
+            if self.levels.len() == d + 1 {
+                self.levels.push(Level::default());
+            }
+            let (path, below) = self.levels.split_at_mut(d + 1);
+            let child = &mut below[0].colors;
+            child.clear();
+            child.extend_from_slice(&path[d].colors);
+            child[c as usize] = mix(child[c as usize], 0x1d1f);
+            if let Some(to) = self.explore(d + 1) {
+                if to < d {
+                    return Some(to);
+                }
+            }
+        }
+        None
+    }
+
+    /// Seeds the orbits of the branching node at depth `d` from the twin
+    /// classes and the stored generators that preserve its coloring.
+    fn seed_orbits(&mut self, d: usize) {
+        let level = &mut self.levels[d];
+        level.orbits.clear();
+        let twins = self.twins.get_or_insert_with(|| twin_classes(self.inst));
+        if !twins.is_empty() {
+            let slots = &mut self.scratch.twin_slot;
+            let cell = std::mem::take(&mut level.cell);
+            for &c in &cell {
+                let class = twins[c as usize];
+                if class == NO_TWIN {
+                    continue;
+                }
+                match slots[class as usize] {
+                    NO_TWIN => slots[class as usize] = c,
+                    first => level.union(first, c),
+                }
+            }
+            for &c in &cell {
+                let class = twins[c as usize];
+                if class != NO_TWIN {
+                    slots[class as usize] = NO_TWIN;
+                }
+            }
+            level.cell = cell;
+        }
+        for g in &self.generators {
+            level.absorb(g);
+        }
+    }
+
+    /// Scores the discrete coloring of the node at depth `d` (its jobs
+    /// sorted by color are in `scratch.sorted`).
+    fn leaf(&mut self, d: usize) -> Option<usize> {
+        let inst = self.inst;
+        let graph = inst.graph();
+        self.leaves += 1;
+        let Scratch {
+            sorted, gamma, inv, ..
+        } = &mut self.scratch;
+        if self.leaves == 1 {
+            self.first.set(sorted, None);
+            self.best_is_first = true;
+            return None;
+        }
+        // Equal colors to the first leaf: usually its automorphic image.
+        if sorted
+            .iter()
+            .map(|&(c, _)| c)
+            .eq(self.first.colors.iter().copied())
+        {
+            for (&from, &(_, to)) in self.first.order.iter().zip(sorted.iter()) {
+                gamma[from as usize] = to;
+            }
+            if is_automorphism(graph, gamma) {
+                return self.add_generator(d);
+            }
+        }
+        let best = if self.best_is_first {
+            &mut self.first
+        } else {
+            &mut self.best
+        };
+        let mut edges = None;
+        let ord = match cmp_color_keys(sorted, &best.colors) {
+            Ordering::Equal => {
+                let mine = edge_key(graph, sorted.iter().map(|&(_, j)| j), inv);
+                let theirs = best
+                    .edges
+                    .get_or_insert_with(|| edge_key(graph, best.order.iter().copied(), inv));
+                let ord = mine.cmp(theirs);
+                if ord == Ordering::Equal {
+                    // Equal keys: the best leaf's automorphic image.
+                    for (&from, &(_, to)) in best.order.iter().zip(sorted.iter()) {
+                        gamma[from as usize] = to;
+                    }
+                    return self.add_generator(d);
+                }
+                edges = Some(mine);
+                ord
+            }
+            ord => ord,
+        };
+        if ord == Ordering::Less {
+            self.best.set(sorted, edges);
+            self.best_is_first = false;
+        }
+        None
+    }
+
+    /// Stores the automorphism in `scratch.gamma`, merges orbits on the
+    /// path above depth `d`, and returns the shallowest depth whose
+    /// explored candidate it shows to be equivalent to an earlier one.
+    fn add_generator(&mut self, d: usize) -> Option<usize> {
+        let perm = self.scratch.gamma.clone();
+        let support: Vec<u32> = (0..perm.len() as u32)
+            .filter(|&x| perm[x as usize] != x)
+            .collect();
+        if support.is_empty() {
+            return None;
+        }
+        let g = Generator { perm, support };
+        let mut jump = None;
+        for (depth, level) in self.levels[..d].iter_mut().enumerate() {
+            if level.absorb(&g) && !level.is_orbit_root(level.current) {
+                jump = Some(depth);
+                break;
+            }
+        }
+        self.generators.push(g);
+        jump
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The unpruned search the pruned one must reproduce, kept verbatim
+    //! from before automorphism pruning.
+
+    use super::{mix, SEARCH_BUDGET};
+    use bisched_graph::Graph;
+
+    /// The reference job order, and whether its search stayed within the
+    /// budget (a budget spent to zero counts as exhausted).
+    pub(super) fn job_order(graph: &Graph, init: &[u64]) -> (Vec<u32>, bool) {
+        let mut budget = SEARCH_BUDGET;
+        let mut best: Option<(Vec<u8>, Vec<u32>)> = None;
+        search_order(graph, init.to_vec(), &mut budget, &mut best);
+        (
+            best.expect("search yields at least one order").1,
+            budget > 0,
+        )
+    }
+
+    /// One search node: refine, shortcut or branch on the first tied cell.
+    fn search_order(
+        graph: &Graph,
+        mut colors: Vec<u64>,
+        budget: &mut usize,
+        best: &mut Option<(Vec<u8>, Vec<u32>)>,
+    ) {
+        refine(graph, &mut colors);
+        loop {
+            let cells = tied_cells(&colors);
+            let Some(cell) = cells.first().cloned() else {
+                // Discrete: order by color (all distinct).
+                let mut order: Vec<u32> = (0..colors.len() as u32).collect();
+                order.sort_unstable_by_key(|&j| colors[j as usize]);
+                let key = order_key(graph, &colors, &order);
+                if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
+                    *best = Some((key, order));
+                }
+                return;
+            };
+            if is_interchangeable_cell(graph, &colors, &cell) {
+                // Any ordering of the cell yields the same certificate:
+                // individualize all members at once, in current order, and
+                // keep refining without branching.
+                for (rank, &j) in cell.iter().enumerate() {
+                    colors[j as usize] = mix(colors[j as usize], rank as u64 + 1);
+                }
+                refine(graph, &mut colors);
+                continue;
+            }
+            // Branch: individualize each candidate in the cell.
+            let candidates: &[u32] = if *budget == 0 { &cell[..1] } else { &cell };
+            for &j in candidates {
+                if *budget > 0 {
+                    *budget -= 1;
+                }
+                let mut next = colors.clone();
+                next[j as usize] = mix(next[j as usize], 0x1d1f);
+                search_order(graph, next, budget, best);
+            }
+            return;
+        }
+    }
+
+    /// Stable refinement: each round every job absorbs the sorted multiset of
+    /// its neighbors' colors; stops when the partition stops growing.
+    fn refine(graph: &Graph, colors: &mut [u64]) {
+        let mut distinct = count_distinct(colors);
+        loop {
+            let mut next = vec![0u64; colors.len()];
+            for j in 0..colors.len() {
+                let mut nb: Vec<u64> = graph
+                    .neighbors(j as u32)
+                    .iter()
+                    .map(|&v| colors[v as usize])
+                    .collect();
+                nb.sort_unstable();
+                let mut h = mix(0xace1, colors[j]);
+                for c in nb {
+                    h = mix(h, c);
+                }
+                next[j] = h;
+            }
+            let d = count_distinct(&next);
+            colors.copy_from_slice(&next);
+            if d == distinct {
+                return;
+            }
+            distinct = d;
+        }
+    }
+
+    fn count_distinct(colors: &[u64]) -> usize {
+        let mut sorted = colors.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len()
+    }
+
+    /// Non-singleton color classes, ordered by color value, members by id.
+    fn tied_cells(colors: &[u64]) -> Vec<Vec<u32>> {
+        let mut by_color: Vec<(u64, u32)> = colors
+            .iter()
+            .enumerate()
+            .map(|(j, &c)| (c, j as u32))
+            .collect();
+        by_color.sort_unstable();
+        let mut cells = Vec::new();
+        let mut i = 0;
+        while i < by_color.len() {
+            let mut k = i + 1;
+            while k < by_color.len() && by_color[k].0 == by_color[i].0 {
+                k += 1;
+            }
+            if k - i > 1 {
+                cells.push(by_color[i..k].iter().map(|&(_, j)| j).collect());
+            }
+            i = k;
+        }
+        cells
+    }
+
+    /// Whether every job outside the cell is adjacent to all or none of it,
+    /// and the cell's induced subgraph is complete or empty — i.e. the cell's
+    /// members are fully interchangeable and need no branching.
+    fn is_interchangeable_cell(graph: &Graph, colors: &[u64], cell: &[u32]) -> bool {
+        let k = cell.len();
+        let in_cell: Vec<bool> = {
+            let mut mask = vec![false; colors.len()];
+            for &j in cell {
+                mask[j as usize] = true;
+            }
+            mask
+        };
+        let mut inner_edges = 0usize;
+        let mut outside_counts = std::collections::HashMap::new();
+        for &j in cell {
+            for &v in graph.neighbors(j) {
+                if in_cell[v as usize] {
+                    inner_edges += 1;
+                } else {
+                    *outside_counts.entry(v).or_insert(0usize) += 1;
+                }
+            }
+        }
+        inner_edges /= 2;
+        if inner_edges != 0 && inner_edges != k * (k - 1) / 2 {
+            return false;
+        }
+        outside_counts.values().all(|&c| c == k)
+    }
+
+    /// Certificate key of a discrete order: per-job initial-invariant colors
+    /// would already be equal inside former ties, so the distinguishing data
+    /// is the edge relation (plus the colors for cross-cell stability).
+    fn order_key(graph: &Graph, colors: &[u64], order: &[u32]) -> Vec<u8> {
+        let n = order.len();
+        let mut inv = vec![0u32; n];
+        for (c, &j) in order.iter().enumerate() {
+            inv[j as usize] = c as u32;
+        }
+        let mut edges: Vec<(u32, u32)> = graph
+            .edges()
+            .map(|(u, v)| {
+                let (a, b) = (inv[u as usize], inv[v as usize]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        edges.sort_unstable();
+        let mut key = Vec::with_capacity(n * 8 + edges.len() * 8);
+        for &j in order {
+            key.extend_from_slice(&colors[j as usize].to_le_bytes());
+        }
+        for (u, v) in edges {
+            key.extend_from_slice(&u.to_le_bytes());
+            key.extend_from_slice(&v.to_le_bytes());
+        }
+        key
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bisched_graph::Graph;
+    use bisched_graph::{Graph, GraphBuilder};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn fp(inst: &Instance) -> u128 {
         canonicalize(inst).fingerprint
+    }
+
+    /// The canonical form under the reference search, and whether every
+    /// reference search it ran stayed within the budget.
+    fn reference_canonicalize(inst: &Instance) -> (Canonical, bool) {
+        let mut within = true;
+        let canon = canonicalize_by(inst, |init| {
+            let (order, ok) = reference::job_order(inst.graph(), init);
+            within &= ok;
+            order
+        });
+        (canon, within)
+    }
+
+    /// A uniformly random permutation: `perm[j]` is job `j`'s new id.
+    fn shuffled(n: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.gen_range(0..=i));
+        }
+        perm
+    }
+
+    /// `inst` with job `j` renamed `perm[j]` and, for `R`, the machine
+    /// rows reversed.
+    fn relabeled(inst: &Instance, perm: &[u32]) -> Instance {
+        let mut data = InstanceData::from_instance(inst);
+        let permute = |values: &[u64]| {
+            let mut out = vec![0; values.len()];
+            for (j, &v) in values.iter().enumerate() {
+                out[perm[j] as usize] = v;
+            }
+            out
+        };
+        if let Some(p) = data.processing.as_mut() {
+            *p = permute(p);
+        }
+        if let Some(times) = data.times.as_mut() {
+            for row in times.iter_mut() {
+                *row = permute(row);
+            }
+            times.reverse();
+        }
+        for e in data.edges.iter_mut() {
+            *e = (perm[e.0 as usize], perm[e.1 as usize]);
+        }
+        data.into_instance().unwrap()
+    }
+
+    /// Disjoint cycles of the given lengths.
+    fn cycles(lengths: &[usize]) -> Graph {
+        let mut b = GraphBuilder::new(0);
+        for &len in lengths {
+            let first = b.add_vertices(len);
+            for k in 0..len as u32 {
+                b.add_edge(first + k, first + (k + 1) % len as u32);
+            }
+        }
+        b.build()
     }
 
     #[test]
@@ -617,5 +1294,149 @@ mod tests {
             InstanceData::from_instance(&once.instance),
             InstanceData::from_instance(&twice.instance)
         );
+    }
+
+    #[test]
+    fn budget_exhausting_cycle_unions_share_one_certificate() {
+        // Unit jobs on unions of even cycles have automorphism groups far
+        // larger than the search budget. The unpruned search ran out of
+        // budget on these and gave different relabelings different
+        // certificates (false cache misses, split shard routing).
+        for lengths in [&[6, 4, 4, 8][..], &[4, 8, 8, 4], &[6, 6, 6, 4, 4, 4]] {
+            let g = cycles(lengths);
+            let n = g.num_vertices();
+            let inst = Instance::identical(2, vec![1; n], g).unwrap();
+            assert!(
+                !reference_canonicalize(&inst).1,
+                "{lengths:?} fits the budget"
+            );
+            let mut rng = StdRng::seed_from_u64(0x5eed);
+            let certificates: HashSet<Vec<u8>> = (0..24)
+                .map(|_| canonicalize(&relabeled(&inst, &shuffled(n, &mut rng))).certificate)
+                .collect();
+            assert_eq!(certificates.len(), 1, "{lengths:?} split its relabelings");
+        }
+    }
+
+    #[test]
+    fn automorphisms_prune_symmetric_searches() {
+        // Leaves reached on graphs whose unpruned trees have one leaf per
+        // automorphism: crowns (2·k! leaves), K_{k,k} (2k) and cycles.
+        for (graph, max_leaves) in [
+            (Graph::crown(8), 12),
+            (Graph::crown(16), 24),
+            (Graph::complete_bipartite(16, 16), 2),
+            (cycles(&[8, 8, 8, 8]), 16),
+        ] {
+            let n = graph.num_vertices();
+            let inst = Instance::identical(3, vec![1; n], graph).unwrap();
+            let mut search = OrderSearch::new(&inst);
+            search.job_order(&processing_colors(&inst));
+            assert!(
+                search.leaves <= max_leaves,
+                "{n} jobs: {} leaves",
+                search.leaves
+            );
+        }
+    }
+
+    /// A tie-heavy random instance of at most 24 jobs, relabeled at
+    /// random: unit or two-valued sizes on unions of even cycles, crowns,
+    /// unions of perfect matchings or complete bipartite blocks, under
+    /// `P`, `Q` or `R`.
+    fn tie_heavy_instance(family: u8, env: u8, two_valued: bool, seed: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = match family {
+            0 => {
+                let mut lengths = Vec::new();
+                let mut total = 0;
+                loop {
+                    let len = 2 * rng.gen_range(2..=5usize);
+                    if total + len > 24 {
+                        break;
+                    }
+                    lengths.push(len);
+                    total += len;
+                    if rng.gen_range(0..3u32) == 0 {
+                        break;
+                    }
+                }
+                cycles(&lengths)
+            }
+            1 => Graph::crown(rng.gen_range(2..=6usize)),
+            2 => {
+                let k = rng.gen_range(2..=12usize);
+                let mut b = GraphBuilder::new(2 * k);
+                for _ in 0..rng.gen_range(1..=3u32) {
+                    for (left, &right) in shuffled(k, &mut rng).iter().enumerate() {
+                        b.add_edge(left as u32, k as u32 + right);
+                    }
+                }
+                b.build()
+            }
+            _ => {
+                let mut b = GraphBuilder::new(0);
+                while b.num_vertices() < 18 {
+                    let (x, y) = (rng.gen_range(1..=3usize), rng.gen_range(1..=3usize));
+                    let first = b.add_vertices(x + y);
+                    for u in 0..x as u32 {
+                        for v in 0..y as u32 {
+                            b.add_edge(first + u, first + x as u32 + v);
+                        }
+                    }
+                    if rng.gen_range(0..3u32) == 0 {
+                        break;
+                    }
+                }
+                b.build()
+            }
+        };
+        let n = graph.num_vertices();
+        let class: Vec<usize> = (0..n)
+            .map(|_| usize::from(two_valued && rng.gen_range(0..2u32) == 0))
+            .collect();
+        let m = rng.gen_range(2..=3usize);
+        let inst = match env {
+            0 => Instance::identical(m, class.iter().map(|&c| 1 + c as u64).collect(), graph),
+            1 => Instance::uniform(
+                (0..m).map(|_| rng.gen_range(1..=2u64)).collect(),
+                class.iter().map(|&c| 1 + 2 * c as u64).collect(),
+                graph,
+            ),
+            _ => {
+                let columns: Vec<Vec<u64>> = (0..2)
+                    .map(|_| (0..m).map(|_| rng.gen_range(1..=2u64)).collect())
+                    .collect();
+                let times = (0..m)
+                    .map(|i| class.iter().map(|&c| columns[c][i]).collect())
+                    .collect();
+                Instance::unrelated(times, graph)
+            }
+        }
+        .unwrap();
+        relabeled(&inst, &shuffled(n, &mut rng))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Automorphism pruning never changes the canonical form while
+        /// the unpruned search stays within its budget.
+        #[test]
+        fn pruned_search_matches_the_reference(
+            family in 0u8..4,
+            env in 0u8..3,
+            two_valued in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let inst = tie_heavy_instance(family, env, two_valued, seed);
+            let (want, within_budget) = reference_canonicalize(&inst);
+            prop_assume!(within_budget);
+            let got = canonicalize(&inst);
+            prop_assert_eq!(&got.certificate, &want.certificate);
+            prop_assert_eq!(got.fingerprint, want.fingerprint);
+            prop_assert_eq!(&got.job_perm, &want.job_perm);
+            prop_assert_eq!(&got.machine_perm, &want.machine_perm);
+        }
     }
 }

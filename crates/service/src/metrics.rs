@@ -122,6 +122,7 @@ pub const METRIC_NAMES: &[&str] = &[
     "bisched_request_latency_seconds",
     "bisched_queue_wait_seconds",
     "bisched_solve_time_seconds",
+    "bisched_canonicalize_seconds",
     "bisched_shard_requests_total",
     "bisched_shard_cache_hit_ratio",
 ];
@@ -151,6 +152,9 @@ pub struct Metrics {
     /// job — the latency the job actually experienced while solving,
     /// batch-mates included.
     solve_hist: Mutex<LatencyHist>,
+    /// Time `canonicalize` took on each routed solve request. It runs
+    /// before the cache lookup, so cache hits are included.
+    canon_hist: Mutex<LatencyHist>,
     wins: Mutex<HashMap<Method, u64>>,
     /// Race-cancelled engine attempts, per method. Kept apart from the
     /// win counters: a cancelled attempt is neither a win nor a loss
@@ -172,6 +176,7 @@ impl Default for Metrics {
             hist: Mutex::new(LatencyHist::default()),
             queue_hist: Mutex::new(LatencyHist::default()),
             solve_hist: Mutex::new(LatencyHist::default()),
+            canon_hist: Mutex::new(LatencyHist::default()),
             wins: Mutex::new(HashMap::new()),
             cancelled: Mutex::new(HashMap::new()),
         }
@@ -193,6 +198,11 @@ impl Metrics {
     /// micro-batch's `solve_batch` duration).
     pub fn record_solve_time(&self, micros: u64) {
         self.solve_hist.lock().unwrap().record(micros);
+    }
+
+    /// Records how long canonicalizing one routed solve request took.
+    pub fn record_canonicalize(&self, micros: u64) {
+        self.canon_hist.lock().unwrap().record(micros);
     }
 
     /// Credits `method` with a win (it produced a freshly solved
@@ -257,6 +267,7 @@ struct Totals {
     hist: LatencyHist,
     queue_hist: LatencyHist,
     solve_hist: LatencyHist,
+    canon_hist: LatencyHist,
     wins: HashMap<Method, u64>,
     cancelled: HashMap<Method, u64>,
     uptime_s: f64,
@@ -276,6 +287,7 @@ impl Totals {
             hist: LatencyHist::default(),
             queue_hist: LatencyHist::default(),
             solve_hist: LatencyHist::default(),
+            canon_hist: LatencyHist::default(),
             wins: HashMap::new(),
             cancelled: HashMap::new(),
             uptime_s: 0.0,
@@ -296,6 +308,7 @@ impl Totals {
             t.hist.merge(&m.hist.lock().unwrap());
             t.queue_hist.merge(&m.queue_hist.lock().unwrap());
             t.solve_hist.merge(&m.solve_hist.lock().unwrap());
+            t.canon_hist.merge(&m.canon_hist.lock().unwrap());
             for (&method, &n) in m.wins.lock().unwrap().iter() {
                 *t.wins.entry(method).or_insert(0) += n;
             }
@@ -340,6 +353,7 @@ pub fn snapshot_sharded(shards: &[ShardView]) -> StatsData {
         .map(|(i, v)| {
             let m = v.metrics;
             let hist = m.hist.lock().unwrap();
+            let canon = m.canon_hist.lock().unwrap();
             ShardStats {
                 shard: i as u64,
                 requests: m.requests.load(Ordering::Relaxed),
@@ -352,6 +366,8 @@ pub fn snapshot_sharded(shards: &[ShardView]) -> StatsData {
                 hit_rate: hit_rate(v.cache.hits, v.cache.misses),
                 p50_ms: hist.quantile_ms(0.50),
                 p99_ms: hist.quantile_ms(0.99),
+                canon_p50_ms: canon.quantile_ms(0.50),
+                canon_p99_ms: canon.quantile_ms(0.99),
             }
         })
         .collect();
@@ -373,6 +389,8 @@ pub fn snapshot_sharded(shards: &[ShardView]) -> StatsData {
         queue_p99_ms: t.queue_hist.quantile_ms(0.99),
         solve_p50_ms: t.solve_hist.quantile_ms(0.50),
         solve_p99_ms: t.solve_hist.quantile_ms(0.99),
+        canon_p50_ms: t.canon_hist.quantile_ms(0.50),
+        canon_p99_ms: t.canon_hist.quantile_ms(0.99),
         cancelled: method_cancelled.iter().map(|(_, n)| n).sum(),
         method_wins,
         method_cancelled,
@@ -384,7 +402,7 @@ pub fn snapshot_sharded(shards: &[ShardView]) -> StatsData {
 /// The `metrics` verb's payload for a sharded service: every series from
 /// [`METRIC_NAMES`], totals first, then the per-shard
 /// `bisched_shard_requests_total` / `bisched_shard_cache_hit_ratio`
-/// breakdowns. Counters use `_total` suffixes, the three latency
+/// breakdowns. Counters use `_total` suffixes, the four latency
 /// histograms emit cumulative `le` buckets in seconds (empty buckets
 /// skipped — cumulative counts stay correct), and per-engine tables
 /// become labeled series.
@@ -491,6 +509,12 @@ pub fn prometheus_sharded(shards: &[ShardView]) -> String {
         "bisched_solve_time_seconds",
         "Solve-phase wall time jobs experienced (whole micro-batch).",
         &t.solve_hist,
+    );
+    prometheus_histogram(
+        &mut out,
+        "bisched_canonicalize_seconds",
+        "Canonicalization time per routed solve request, cache hits included.",
+        &t.canon_hist,
     );
     out.push_str(
         "# HELP bisched_shard_requests_total Requests handled by each shard's loop.\n\
@@ -675,8 +699,11 @@ mod tests {
         m.record_latency(1_000);
         m.record_queue_wait(10); // bucket [8, 16): midpoint ≈ 11 µs
         m.record_solve_time(900); // bucket [512, 1024): midpoint ≈ 724 µs
+        m.record_canonicalize(100); // bucket [64, 128): midpoint ≈ 91 µs
         let s = m.snapshot(crate::cache::CacheCounters::default(), 0);
         assert!(s.queue_p50_ms > 0.0 && s.queue_p50_ms < 0.016);
+        assert!(s.canon_p50_ms > 0.064 && s.canon_p50_ms < 0.128);
+        assert!(s.shards[0].canon_p99_ms > 0.064 && s.shards[0].canon_p99_ms < 0.128);
         assert!(s.solve_p50_ms > 0.5 && s.solve_p50_ms < 1.024);
         assert!(
             s.queue_p50_ms < s.solve_p50_ms,
@@ -695,6 +722,7 @@ mod tests {
         m.record_latency(90_000);
         m.record_queue_wait(40);
         m.record_solve_time(650);
+        m.record_canonicalize(30);
         let text = m.prometheus(
             crate::cache::CacheCounters {
                 hits: 2,
@@ -717,6 +745,7 @@ mod tests {
         assert!(text.contains("bisched_request_latency_seconds_sum 0.0907"));
         assert!(text.contains("bisched_queue_wait_seconds_count 1"));
         assert!(text.contains("bisched_solve_time_seconds_count 1"));
+        assert!(text.contains("bisched_canonicalize_seconds_count 1"));
         // The declared registry is live: every name in METRIC_NAMES is
         // emitted by a populated exposition, and every emitted series
         // name is declared (the registry and the code move together).

@@ -311,6 +311,13 @@ pub struct StatsData {
     /// 99th-percentile solve-phase wall time, milliseconds.
     #[serde(default)]
     pub solve_p99_ms: f64,
+    /// Median time canonicalization took per routed solve request, cache
+    /// hits included, milliseconds.
+    #[serde(default)]
+    pub canon_p50_ms: f64,
+    /// 99th-percentile canonicalization time, milliseconds.
+    #[serde(default)]
+    pub canon_p99_ms: f64,
     /// Engine attempts a portfolio race cancelled (neither wins nor
     /// losses), total across methods.
     #[serde(default)]
@@ -355,4 +362,10 @@ pub struct ShardStats {
     pub p50_ms: f64,
     /// 99th-percentile request latency on this shard, milliseconds.
     pub p99_ms: f64,
+    /// Median canonicalization time on this shard, milliseconds.
+    #[serde(default)]
+    pub canon_p50_ms: f64,
+    /// 99th-percentile canonicalization time on this shard, milliseconds.
+    #[serde(default)]
+    pub canon_p99_ms: f64,
 }

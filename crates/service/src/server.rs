@@ -781,6 +781,7 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
     conn.pinned = Some(shard_idx);
     let shard = &shared.shards[shard_idx];
     shard.metrics.requests.fetch_add(1, Ordering::Relaxed);
+    shard.metrics.record_canonicalize(canon_us);
     let fail = |r: Response| {
         shard.metrics.errors.fetch_add(1, Ordering::Relaxed);
         r

@@ -120,6 +120,9 @@ fn concurrent_mixed_workload_validates_hits_cache_and_drains() {
     // The latency split is populated: every miss went through the queue
     // and a solve_batch call.
     assert!(stats.solve_p50_ms > 0.0, "solve-time histogram is empty");
+    // Canonicalization is histogrammed on every routed solve, hits too.
+    assert!(stats.canon_p99_ms > 0.0, "canonicalize histogram is empty");
+    assert!(stats.canon_p99_ms >= stats.canon_p50_ms);
 
     // The `metrics` verb serves the same counters as Prometheus text.
     let text = client.metrics().expect("metrics");
@@ -130,6 +133,10 @@ fn concurrent_mixed_workload_validates_hits_cache_and_drains() {
     assert!(text.contains("# TYPE bisched_request_latency_seconds histogram"));
     assert!(text.contains("bisched_queue_wait_seconds_count"));
     assert!(text.contains("bisched_solve_time_seconds_bucket{le=\"+Inf\"}"));
+    assert!(text.contains(&format!(
+        "bisched_canonicalize_seconds_count {}",
+        4 * workload.len()
+    )));
     let wins: u64 = text
         .lines()
         .filter(|l| l.starts_with("bisched_method_wins_total{"))
@@ -515,6 +522,10 @@ fn sharded_daemon_routes_pins_and_aggregates() {
     assert_eq!(sum, stats.solved);
     let hits: u64 = stats.shards.iter().map(|s| s.cache_hits).sum();
     assert_eq!(hits, stats.cache_hits);
+    assert!(stats
+        .shards
+        .iter()
+        .all(|s| s.canon_p99_ms >= s.canon_p50_ms));
     assert!(hits > 0, "duplicate submissions hit shard caches");
     // 18 distinct fingerprints over 4 shards: more than one shard works.
     let active = stats.shards.iter().filter(|s| s.solved > 0).count();
