@@ -1,17 +1,18 @@
 //! Algorithm 5: FPTAS for `R2 | G = bipartite | C_max` (Theorem 22).
 //!
-//! Pipeline: run Algorithm 4 to get a 2-approximate horizon `T`; rerun the
-//! Algorithm 3 reduction; then encode the unavoidable base loads as two
-//! *guard jobs* pinned to their machines by an unreasonable cost (`3T`, as
-//! the paper's prose suggests) on the wrong machine; finally hand the
-//! difference jobs + guards to the `Rm || C_max` FPTAS and decode the
+//! Pipeline: run the Algorithm 3 reduction once; take a 2-approximate
+//! horizon `T` from Algorithm 4's greedy core on that reduction; then
+//! encode the unavoidable base loads as two *guard jobs* pinned to their
+//! machines by an unreasonable cost (`3T`, as the paper's prose suggests)
+//! on the wrong machine; finally hand the difference jobs + guards to the
+//! `Rm || C_max` FPTAS — its two-machine merge sweep — and decode the
 //! orientation of every crossing component from where its difference job
 //! landed.
 //!
 //! Any schedule of the prepared jobs maps to an original schedule of the
 //! same makespan and vice versa, so the `(1+ε)` guarantee transfers.
 
-use crate::r2_approx::r2_two_approx;
+use crate::r2_approx::assign_cheaper;
 use crate::r2_reduction::reduce_r2;
 use bisched_exact::OracleError;
 use bisched_fptas::{rm_cmax_fptas_with, CapRelief, FptasError, FptasParams};
@@ -30,7 +31,8 @@ pub struct FptasControls {
     /// fails with a typed [`R2FptasError::StateCap`].
     pub coarsen: bool,
     /// Expand DP layers in parallel chunks (deterministic merge,
-    /// result-identical; sequential under the vendored rayon).
+    /// result-identical; sequential under the vendored rayon). No effect
+    /// on two-machine sweeps, which Algorithm 5 always runs.
     pub parallel: bool,
 }
 
@@ -118,9 +120,9 @@ pub fn r2_fptas_with(
         });
     }
 
-    // Step 1: 2-approximate horizon T from Algorithm 4.
-    let approx = r2_two_approx(inst)?;
-    let t_horizon = approx.makespan(inst).ceil().max(1);
+    // Step 1: 2-approximate horizon T from Algorithm 4, reusing the
+    // reduction instead of running Algorithm 3 again.
+    let t_horizon = assign_cheaper(&red).makespan(inst).ceil().max(1);
 
     // Steps 3-5: guard jobs carrying the base loads, pinned by cost 3T on
     // the wrong machine. A zero-cost guard is legal here (the FPTAS treats
@@ -166,6 +168,7 @@ mod tests {
     use super::*;
     use bisched_exact::r2_bipartite_exact;
     use bisched_graph::{gilbert_bipartite, Graph};
+    use bisched_model::UnrelatedFamily;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -299,6 +302,64 @@ mod tests {
                 assert!(e.to_string().contains("state cap 2"), "{e}");
             }
             other => panic!("expected a state-cap error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn two_machine_exact_sweep_matches_exact_r2() {
+        // With no edges every job is its own component, so the exact R2
+        // oracle solves plain `R2 || C_max`: an independent check of the
+        // untrimmed two-machine merge, pruned and unpruned, past
+        // brute-force sizes.
+        let mut rng = StdRng::seed_from_u64(83);
+        for _ in 0..24 {
+            let n: usize = rng.gen_range(1..=28);
+            let times: Vec<Vec<u64>> = (0..2)
+                .map(|_| (0..n).map(|_| rng.gen_range(1..=1_000)).collect())
+                .collect();
+            let inst = Instance::unrelated(times.clone(), Graph::empty(n)).unwrap();
+            let opt = r2_bipartite_exact(&inst).unwrap().makespan;
+            for prune in [true, false] {
+                let mut params = FptasParams::new(0.0);
+                params.prune = prune;
+                let r = rm_cmax_fptas_with(&times, &params).unwrap();
+                assert_eq!(
+                    bisched_model::Rat::integer(r.makespan),
+                    opt,
+                    "n={n} prune={prune}"
+                );
+                assert_eq!(
+                    bisched_fptas::makespan_of(&times, r.schedule.assignment()),
+                    r.makespan
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn guarantee_holds_on_large_jobcorr_subcritical_gilbert() {
+        // The shape that reaches the sweep from the daemon: job-correlated
+        // times far above the grid's bucket width (so trimming merges
+        // states) on sparse Gilbert graphs (so Algorithm 3 leaves many
+        // difference jobs).
+        let mut rng = StdRng::seed_from_u64(89);
+        let family = UnrelatedFamily::JobCorrelated {
+            base: (1_000, 10_000),
+            spread: 500,
+        };
+        for _ in 0..4 {
+            let n: usize = rng.gen_range(24..=40);
+            let side = n / 2;
+            let g = gilbert_bipartite(side, n - side, (side as f64).powf(-1.5), &mut rng);
+            let inst = Instance::unrelated(family.sample(2, n, &mut rng), g).unwrap();
+            let opt = r2_bipartite_exact(&inst).unwrap();
+            for eps in [1.0, 0.125, 0.02] {
+                let r = r2_fptas_with(&inst, eps, &FptasControls::default()).unwrap();
+                assert!(r.schedule.validate(&inst).is_ok());
+                assert!(r.expanded > 0);
+                let ratio = r.schedule.makespan(&inst).ratio_to(&opt.makespan);
+                assert!(ratio <= 1.0 + eps + 1e-9, "ε={eps}: ratio {ratio} (n={n})");
+            }
         }
     }
 

@@ -75,7 +75,9 @@ pub struct SolverConfig {
     /// Expand FPTAS DP layers in parallel chunks over rayon with a
     /// deterministic merge. Result-identical to the sequential sweep
     /// (and sequential in effect under the vendored rayon stand-in), so
-    /// it does not participate in the service's cache key.
+    /// it does not participate in the service's cache key. It has no
+    /// effect on two-machine sweeps, and every solver path into the DP
+    /// (Algorithm 5) is one.
     pub fptas_parallel: bool,
     /// Deterministic seed for randomized engines, echoed in
     /// [`SolveReport::seed`](crate::SolveReport::seed). The paper's
@@ -162,7 +164,8 @@ impl SolverConfig {
         self
     }
 
-    /// Toggles parallel (deterministically merged) FPTAS layer expansion.
+    /// Toggles parallel (deterministically merged) FPTAS layer expansion;
+    /// see [`SolverConfig::fptas_parallel`].
     pub fn fptas_parallel(mut self, parallel: bool) -> Self {
         self.fptas_parallel = parallel;
         self

@@ -8,7 +8,13 @@
 //! `M_2`, and minimizes `max(load_1, load_2)` at the end. This is the
 //! ground-truth oracle for Algorithm 4's 2-approximation and Algorithm 5's
 //! FPTAS experiments.
+//!
+//! Memory is two rolling `u64` tables over the `M_1` row mass plus one
+//! bit per (component, reachable load): whether the first orientation
+//! realises the optimum there. The bits are all the backward
+//! reconstruction reads, so no per-component table copy is kept.
 
+use crate::bitset::BitSet;
 use crate::bruteforce::Optimum;
 use crate::q2_bipartite::OracleError;
 use bisched_graph::{bipartition, Components, Side};
@@ -65,30 +71,36 @@ pub fn r2_bipartite_exact(inst: &Instance) -> Result<Optimum, OracleError> {
         .collect();
 
     let cap1: usize = times[0].iter().sum::<u64>() as usize + 1;
-    // layers[k][x] = minimum load2 achievable with load1 = x after the
-    // first k components (UNREACH if impossible).
-    let mut layers: Vec<Vec<u64>> = Vec::with_capacity(choices.len() + 1);
-    let mut dp = vec![UNREACH; cap1];
-    dp[0] = 0;
-    layers.push(dp.clone());
+    // prev[x] = minimum load2 achievable with load1 = x after the first k
+    // components (UNREACH if impossible); next is layer k + 1. Two rolling
+    // tables instead of one per layer: the reconstruction only needs,
+    // per layer and load, whether option A realises next[x] — one bit.
+    let mut prev = vec![UNREACH; cap1];
+    let mut next = vec![UNREACH; cap1];
+    prev[0] = 0;
+    // Loads above `reach` are unreachable so far, in both tables.
+    let mut reach = 0usize;
+    let mut take_a: Vec<BitSet> = Vec::with_capacity(choices.len());
     for ch in &choices {
-        let mut next = vec![UNREACH; cap1];
-        for (x, &l2) in dp.iter().enumerate() {
-            if l2 == UNREACH {
-                continue;
-            }
-            for &(d1, d2) in [&ch.a, &ch.b] {
-                let nx = x + d1 as usize;
-                if nx < cap1 {
-                    next[nx] = next[nx].min(l2 + d2);
-                }
+        reach += ch.a.0.max(ch.b.0) as usize;
+        let mut bits = BitSet::new(reach + 1);
+        let via = |x: usize, (d1, d2): (u64, u64)| {
+            x.checked_sub(d1 as usize)
+                .map_or(UNREACH, |px| prev[px].saturating_add(d2))
+        };
+        for (x, slot) in next[..=reach].iter_mut().enumerate() {
+            let (a, b) = (via(x, ch.a), via(x, ch.b));
+            *slot = a.min(b);
+            // The reconstruction's test: prev[x − a.0] + a.1 == next[x].
+            if a != UNREACH && a <= b {
+                bits.set(x);
             }
         }
-        dp = next;
-        layers.push(dp.clone());
+        take_a.push(bits);
+        std::mem::swap(&mut prev, &mut next);
     }
 
-    let (best_x, &best_l2) = dp
+    let (best_x, &best_l2) = prev[..=reach]
         .iter()
         .enumerate()
         .filter(|(_, &l2)| l2 != UNREACH)
@@ -99,18 +111,10 @@ pub fn r2_bipartite_exact(inst: &Instance) -> Result<Optimum, OracleError> {
     // Reconstruct component orientations backwards.
     let mut assignment = vec![0u32; inst.num_jobs()];
     let mut x = best_x;
-    let mut l2 = best_l2;
     for (k, ch) in choices.iter().enumerate().rev() {
-        let prev = &layers[k];
-        let take_a =
-            x >= ch.a.0 as usize && l2 >= ch.a.1 && prev[x - ch.a.0 as usize] == l2 - ch.a.1;
-        let (d, m_left, m_right) = if take_a {
+        let (d, m_left, m_right) = if take_a[k].get(x) {
             (ch.a, 0u32, 1u32)
         } else {
-            debug_assert!(
-                x >= ch.b.0 as usize && l2 >= ch.b.1 && prev[x - ch.b.0 as usize] == l2 - ch.b.1,
-                "one of the two choices must be consistent"
-            );
             (ch.b, 1u32, 0u32)
         };
         for &v in comps.members(k as u32) {
@@ -120,7 +124,6 @@ pub fn r2_bipartite_exact(inst: &Instance) -> Result<Optimum, OracleError> {
             };
         }
         x -= d.0 as usize;
-        l2 -= d.1;
     }
     let schedule = Schedule::new(assignment);
     debug_assert!(schedule.validate(inst).is_ok());
@@ -174,6 +177,32 @@ mod tests {
             let slow = brute_force(&inst).unwrap();
             assert_eq!(fast.makespan, slow.makespan, "n={n}");
             assert!(fast.schedule.validate(&inst).is_ok());
+        }
+    }
+
+    #[test]
+    fn identical_components_with_tied_options_match_bruteforce() {
+        // Many copies of one edge: every load is reached along many paths,
+        // so the reconstruction's take-A bits must agree with the table
+        // they were taken from. With `tie` both orientations cost the same
+        // `(load1, load2)`; otherwise they trade off, (2, 5) against
+        // (6, 3), and mixed choices tie at equal loads.
+        for (tie, copies) in [(true, 5usize), (false, 5), (true, 3), (false, 4)] {
+            let edges: Vec<(u32, u32)> = (0..copies as u32).map(|c| (2 * c, 2 * c + 1)).collect();
+            let g = Graph::from_edges(2 * copies, &edges);
+            let (left, right) = if tie {
+                ([3, 4], [3, 4])
+            } else {
+                ([2, 3], [6, 5])
+            };
+            let row =
+                |i: usize| -> Vec<u64> { (0..copies).flat_map(|_| [left[i], right[i]]).collect() };
+            let inst = Instance::unrelated(vec![row(0), row(1)], g).unwrap();
+            let fast = r2_bipartite_exact(&inst).unwrap();
+            let slow = brute_force(&inst).unwrap();
+            assert_eq!(fast.makespan, slow.makespan, "tie={tie} copies={copies}");
+            assert!(fast.schedule.validate(&inst).is_ok());
+            assert_eq!(fast.schedule.makespan(&inst), fast.makespan);
         }
     }
 

@@ -84,6 +84,13 @@ impl BucketGrid {
     pub fn max_bucket(&self) -> u64 {
         self.edges.len() as u64
     }
+
+    /// The bucket edges: bucket `k ≥ 1` is `[edges[k-1], edges[k])`, and
+    /// the last bucket is open-ended. Lets a caller that visits loads in
+    /// order walk the table forward instead of searching it per load.
+    pub fn edges(&self) -> &[u64] {
+        &self.edges
+    }
 }
 
 #[cfg(test)]

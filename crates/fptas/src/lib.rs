@@ -9,16 +9,25 @@
 //! trimming (see DESIGN.md §2.3 for the substitution rationale). `ε = 0`
 //! yields the exact pseudo-polynomial Pareto DP.
 //!
-//! The sweep is the hot path under nearly every `Auto` solve, so it runs
-//! as a packed-key, pruned, streaming DP: coordinates pack into one
-//! `u128` hashed by an in-crate multiply-xor hasher, a greedy incumbent
-//! plus suffix lower bounds kill hopeless states, `m ≤ 3` layers get a
-//! Pareto-dominance filter, and load arenas stream (only compact
-//! backpointers are retained per layer). [`rm_cmax_fptas_with`] exposes
-//! the knobs: a [`state_cap`](FptasParams::state_cap) bounding any
-//! layer's width (with graceful ε-coarsening or a typed
-//! [`FptasError`]), pruning and parallel-expansion toggles. Bucketing is
-//! the monotone integer grid of [`bucket::BucketGrid`].
+//! The sweep is the hot path under nearly every `Auto` solve. The solver
+//! reaches it only through Algorithm 5, so always with two machines, and
+//! that case has its own path: each layer stays sorted by machine-0 load,
+//! and one linear merge of the parent layer's two child lists visits the
+//! candidates in bucket order. A bucket keeps its smallest machine-1 load
+//! (ties to the smaller machine-0 load), and the Pareto-dominance rule is
+//! applied inline, so [`state_cap`](FptasParams::state_cap) counts the
+//! width after dominance there. Other machine counts, reached through the
+//! public API, the tests and the criterion bench, run the keyed sweep:
+//! coordinates pack into one `u128` hashed by an in-crate multiply-xor
+//! hasher, and `m = 3` layers get a Pareto-dominance filter. Both paths
+//! share the greedy incumbent plus suffix lower bounds that kill hopeless
+//! states and stream their load arenas (only compact backpointers are
+//! retained per layer). [`rm_cmax_fptas_with`] exposes the knobs: a
+//! [`state_cap`](FptasParams::state_cap) bounding any layer's width (with
+//! graceful ε-coarsening or a typed [`FptasError`]), pruning and
+//! parallel-expansion toggles (the latter without effect on two
+//! machines). Bucketing is the monotone integer grid of
+//! [`bucket::BucketGrid`].
 
 #![warn(missing_docs)]
 // Unsafe code is confined to bisched-obs (the model-checked ring)

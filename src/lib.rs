@@ -100,11 +100,12 @@
 //! ## FPTAS knobs
 //!
 //! The `Rm || C_max` sweep behind Algorithm 5 (and, through Algorithm 1
-//! and the Theorem 4 route, behind most `Auto` solves) is a packed-key,
-//! pruned, streaming DP ([`fptas`]): a greedy incumbent and suffix lower
-//! bounds kill hopeless states, `m ≤ 3` layers get a Pareto-dominance
-//! filter, and only compact backpointers are retained per layer. Three
-//! knobs steer it:
+//! and the Theorem 4 route, behind most `Auto` solves) is a pruned,
+//! streaming DP ([`fptas`]): a greedy incumbent and suffix lower bounds
+//! kill hopeless states, and only compact backpointers are retained per
+//! layer. The solver always reaches it with two machines, where each
+//! layer is one sorted merge of its parent's two child lists with the
+//! Pareto-dominance rule applied inline. Three knobs steer it:
 //!
 //! * [`SolverConfig::eps`](core::SolverConfig) (CLI `--eps`) — the
 //!   accuracy `ε ∈ (0, 1]` of the `(1+ε)` guarantee (Theorem 22);
@@ -118,7 +119,8 @@
 //! * [`SolverConfig::fptas_parallel`](core::SolverConfig) — chunked
 //!   parallel layer expansion with a deterministic merge,
 //!   result-identical to the sequential sweep (and excluded from the
-//!   service's cache key for exactly that reason).
+//!   service's cache key for exactly that reason). It has no effect on
+//!   two-machine sweeps, which means on every solver path.
 //!
 //! ```
 //! use bisched::prelude::*;
