@@ -22,9 +22,11 @@
 //!   file and the next boot reloads them (re-bucketed by route, so the
 //!   shard count may change between runs).
 //! * **Micro-batching worker pools** — per shard, `max(1, workers /
-//!   shards)` solver threads over a bounded MPSC queue; each wake-up
-//!   drains up to B queued requests into one
-//!   [`Solver::solve_batch`](bisched_core::Solver::solve_batch) call.
+//!   shards)` solver threads over a bounded MPSC queue; a worker that
+//!   finds a backlog drains up to B queued requests into one
+//!   [`Solver::solve_batch`](bisched_core::Solver::solve_batch) call,
+//!   and one that had to wait for work takes the request that woke it
+//!   alone.
 //! * **Backpressure** — a full shard queue yields a typed `busy`
 //!   response instead of unbounded buffering.
 //! * **Stats** — the `stats` verb (and shutdown log) reports cross-shard

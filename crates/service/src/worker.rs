@@ -4,6 +4,11 @@
 //! Workers never touch another shard's state, so the solve path is free
 //! of cross-shard locks.
 //!
+//! Batches form only from a backlog. Every job in a batch waits for the
+//! whole `solve_batch` call, so a worker that had to wait for work takes
+//! the job that woke it alone: a job arriving right behind it goes to
+//! the next free worker instead of queueing behind a long solve.
+//!
 //! Workers solve **canonical** instances and publish the reports into
 //! their shard's cache before replying. There is no single-flight
 //! deduplication: k *concurrent* identical misses may each be solved
@@ -16,7 +21,7 @@ use crate::server::Shared;
 use bisched_core::{SolveError, SolveReport, Solver, SolverConfig};
 use bisched_model::Instance;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -87,24 +92,33 @@ pub(crate) fn spawn_shard_workers(
 
 fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared, shard_idx: usize, batch_max: usize) {
     loop {
-        let mut batch = Vec::new();
-        {
-            // Hold the receiver only while collecting; solving happens
-            // unlocked so the shard's other workers keep draining.
-            let guard = rx.lock().unwrap();
-            match guard.recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => return, // queue closed and drained: shutdown
-            }
-            while batch.len() < batch_max.max(1) {
-                match guard.try_recv() {
-                    Ok(job) => batch.push(job),
-                    Err(_) => break,
-                }
-            }
-        }
+        // Hold the receiver only while collecting (the guard drops with
+        // this statement); solving happens unlocked so the shard's other
+        // workers keep draining.
+        let Some(batch) = collect(&rx.lock().unwrap(), batch_max) else {
+            return; // queue closed and drained: shutdown
+        };
         process_batch(batch, shared, shard_idx);
     }
+}
+
+/// The next batch: up to `batch_max` jobs that were already queued, or,
+/// when none was, the one job the worker blocks for. `None` once the
+/// queue is closed and drained (shutdown).
+fn collect<T>(rx: &Receiver<T>, batch_max: usize) -> Option<Vec<T>> {
+    let first = match rx.try_recv() {
+        Ok(job) => job,
+        Err(TryRecvError::Empty) => return rx.recv().ok().map(|job| vec![job]),
+        Err(TryRecvError::Disconnected) => return None,
+    };
+    let mut batch = vec![first];
+    while batch.len() < batch_max {
+        match rx.try_recv() {
+            Ok(job) => batch.push(job),
+            Err(_) => break,
+        }
+    }
+    Some(batch)
 }
 
 /// Solves one collected batch: jobs are grouped by configuration (each
@@ -193,5 +207,52 @@ fn process_batch(batch: Vec<Job>, shared: &Shared, shard_idx: usize) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::collect;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    #[test]
+    fn backlog_drains_up_to_batch_max() {
+        let (tx, rx) = mpsc::channel();
+        for job in 0..5 {
+            tx.send(job).unwrap();
+        }
+        assert_eq!(collect(&rx, 3), Some(vec![0, 1, 2]));
+        assert_eq!(collect(&rx, 3), Some(vec![3, 4]));
+        drop(tx);
+        assert_eq!(collect(&rx, 3), None);
+    }
+
+    #[test]
+    fn closed_queue_drains_before_shutdown() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(7).unwrap();
+        drop(tx);
+        assert_eq!(collect(&rx, 16), Some(vec![7]));
+        assert_eq!(collect(&rx, 16), None);
+    }
+
+    #[test]
+    fn a_waiting_worker_takes_one_job() {
+        let (tx, rx) = mpsc::channel();
+        let collector = std::thread::spawn(move || {
+            let first = collect(&rx, 16);
+            (first, collect(&rx, 16))
+        });
+        // Give the collector time to block on the empty queue, then send
+        // two jobs back to back: the second must not join the first's
+        // batch, because another worker could be free to take it.
+        std::thread::sleep(Duration::from_millis(100));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        drop(tx);
+        let (first, second) = collector.join().unwrap();
+        assert_eq!(first, Some(vec![1]));
+        assert_eq!(second, Some(vec![2]));
     }
 }
