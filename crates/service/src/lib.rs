@@ -22,8 +22,10 @@
 //!   file and the next boot reloads them (re-bucketed by route, so the
 //!   shard count may change between runs).
 //! * **Micro-batching worker pools** — per shard, `max(1, workers /
-//!   shards)` solver threads over a bounded MPSC queue; a worker that
-//!   finds a backlog drains up to B queued requests into one
+//!   shards)` solver threads over a bounded MPSC queue. A miss that
+//!   finds fewer solves running than the shard has workers is solved on
+//!   its connection's thread; the rest queue. A worker that finds a
+//!   backlog drains up to B queued requests into one
 //!   [`Solver::solve_batch`](bisched_core::Solver::solve_batch) call,
 //!   and one that had to wait for work takes the request that woke it
 //!   alone.

@@ -27,7 +27,7 @@ use crate::frame;
 use crate::metrics::{prometheus_sharded, snapshot_sharded, Metrics, ShardView};
 use crate::protocol::{AttemptData, Request, Response, StatsData};
 use crate::snapshot::{self, SnapshotEntry};
-use crate::worker::{spawn_shard_workers, Job, JobReply};
+use crate::worker::{process_batch, spawn_shard_workers, Job, JobReply};
 use bisched_core::SolverConfig;
 use bisched_model::canonical::fnv128;
 use bisched_model::canonicalize;
@@ -57,7 +57,8 @@ pub struct ServeOptions {
     /// [`Service::local_addr`]).
     pub addr: String,
     /// Solver worker threads, split across shards (each shard gets
-    /// `max(1, workers / shards)`).
+    /// `max(1, workers / shards)`). While fewer solves than that run in
+    /// a shard, a miss is solved on its connection's thread instead.
     pub workers: usize,
     /// Maximum jobs one worker drains into a single `solve_batch` call.
     pub batch: usize,
@@ -119,6 +120,26 @@ pub(crate) struct Shard {
     /// within it — that is the point: the `service_scaling` suite uses
     /// the gate to make aggregate throughput shard-bound).
     stall_gate: Mutex<()>,
+    /// Solves running in this shard, on its workers or on connection
+    /// threads. Plain `std`: only a scheduling hint, not part of the
+    /// modelled queue/cache handoff.
+    pub(crate) solving: std::sync::atomic::AtomicUsize,
+    /// The shard's worker count: a connection thread solves its miss
+    /// itself only while fewer solves than this are running.
+    solver_slots: usize,
+}
+
+impl Shard {
+    /// Claims a solve slot for the calling connection thread; the caller
+    /// releases it with `solving.fetch_sub(1)` after solving.
+    fn try_take_solver_slot(&self) -> bool {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.solving
+            .fetch_update(Relaxed, Relaxed, |n| {
+                (n < self.solver_slots).then_some(n + 1)
+            })
+            .is_ok()
+    }
 }
 
 /// State shared by the accept loop, every connection handler, and the
@@ -237,6 +258,7 @@ impl Service {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shard_count = opts.shards.max(1);
+        let per_shard = (opts.workers.max(1) / shard_count).max(1);
         let now = Instant::now();
         let mut receivers = Vec::with_capacity(shard_count);
         let shards = (0..shard_count)
@@ -253,6 +275,8 @@ impl Service {
                         now,
                     )),
                     stall_gate: Mutex::new(()),
+                    solving: std::sync::atomic::AtomicUsize::new(0),
+                    solver_slots: per_shard,
                 }
             })
             .collect();
@@ -265,7 +289,6 @@ impl Service {
         if let Some(path) = &opts.cache_snapshot {
             warm_start(&shared, path);
         }
-        let per_shard = (opts.workers.max(1) / shard_count).max(1);
         let mut workers = Vec::with_capacity(shard_count * per_shard);
         for (shard_idx, rx) in receivers.into_iter().enumerate() {
             workers.extend(spawn_shard_workers(
@@ -819,8 +842,12 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         bisched_obs::instant("cache_miss", "service", "request_id", rid);
     }
 
-    // Miss: enqueue for this shard's worker pool (bounded — `busy` on
-    // overflow).
+    // Miss. While the shard runs fewer solves than it has workers, solve
+    // on this thread: handing the job to a worker and the report back
+    // costs two thread wake-ups, and when the host is short of CPU those
+    // wake-ups, not the solve, set the tail of sub-millisecond misses.
+    // Otherwise enqueue for the worker pool (bounded — `busy` on
+    // overflow), which batches the backlog.
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = Job {
         request_id: rid,
@@ -836,11 +863,18 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         let queue = shard.queue.lock().unwrap();
         match queue.as_ref() {
             None => Err(None),
-            Some(tx) => tx.try_send(job).map_err(Some),
+            Some(_) if shard.try_take_solver_slot() => Ok(Some(job)),
+            Some(tx) => tx.try_send(job).map(|()| None).map_err(Some),
         }
     };
     match send_result {
-        Ok(()) => {}
+        Ok(Some(job)) => {
+            process_batch(vec![job], shared, shard_idx);
+            shard
+                .solving
+                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        Ok(None) => {}
         Err(Some(TrySendError::Full(_))) => {
             shard.metrics.busy.fetch_add(1, Ordering::Relaxed);
             bisched_obs::debug!(
@@ -1107,6 +1141,36 @@ pub fn serve<A: ToSocketAddrs + std::fmt::Display>(addr: A) -> std::io::Result<S
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn connection_threads_take_at_most_the_worker_count_of_slots() {
+        let shard = Shard {
+            cache: Mutex::new(LruCache::new(1)),
+            metrics: Metrics::default(),
+            queue: Mutex::new(None),
+            exemplars: Mutex::new(SlowRing::new(1, Duration::from_secs(1), Instant::now())),
+            stall_gate: Mutex::new(()),
+            solving: std::sync::atomic::AtomicUsize::new(0),
+            solver_slots: 2,
+        };
+        assert!(shard.try_take_solver_slot());
+        assert!(shard.try_take_solver_slot());
+        assert!(!shard.try_take_solver_slot(), "both slots are taken");
+        shard
+            .solving
+            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        assert!(shard.try_take_solver_slot());
+        // Both connection threads finish; a worker starts a batch, which
+        // holds a slot too.
+        shard
+            .solving
+            .fetch_sub(2, std::sync::atomic::Ordering::Relaxed);
+        shard
+            .solving
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        assert!(shard.try_take_solver_slot());
+        assert!(!shard.try_take_solver_slot());
+    }
 
     #[test]
     fn cache_bytes_distinguish_outcome_changing_knobs() {

@@ -4,10 +4,15 @@
 //! Workers never touch another shard's state, so the solve path is free
 //! of cross-shard locks.
 //!
-//! Batches form only from a backlog. Every job in a batch waits for the
-//! whole `solve_batch` call, so a worker that had to wait for work takes
-//! the job that woke it alone: a job arriving right behind it goes to
-//! the next free worker instead of queueing behind a long solve.
+//! Only misses that find every solve slot taken reach the queue: while
+//! a shard runs fewer solves than it has workers, the connection thread
+//! solves its miss itself through [`process_batch`]. Batches form only
+//! from a backlog. Every job in a batch waits for the whole
+//! `solve_batch` call, so a worker that had to wait for work takes the
+//! job that woke it alone: a job arriving right behind it goes to the
+//! next free worker instead of queueing behind a long solve. Workers
+//! take queued jobs even while connection threads hold every slot, so
+//! under overload a shard runs up to twice its worker count of solves.
 //!
 //! Workers solve **canonical** instances and publish the reports into
 //! their shard's cache before replying. There is no single-flight
@@ -98,7 +103,10 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared, shard_idx: usize, bat
         let Some(batch) = collect(&rx.lock().unwrap(), batch_max) else {
             return; // queue closed and drained: shutdown
         };
+        let solving = &shared.shards[shard_idx].solving;
+        solving.fetch_add(1, Ordering::Relaxed);
         process_batch(batch, shared, shard_idx);
+        solving.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -123,8 +131,9 @@ fn collect<T>(rx: &Receiver<T>, batch_max: usize) -> Option<Vec<T>> {
 
 /// Solves one collected batch: jobs are grouped by configuration (each
 /// group shares one `Solver` and one `solve_batch` call), results are
-/// cached in the owning shard and replied per job.
-fn process_batch(batch: Vec<Job>, shared: &Shared, shard_idx: usize) {
+/// cached in the owning shard and replied per job. Connection threads
+/// call it too, with a batch of one, when they solve a miss themselves.
+pub(crate) fn process_batch(batch: Vec<Job>, shared: &Shared, shard_idx: usize) {
     let shard = &shared.shards[shard_idx];
     let _batch_span = bisched_obs::span_arg("batch", "service", "jobs", batch.len() as u64);
     shard.metrics.batches.fetch_add(1, Ordering::Relaxed);

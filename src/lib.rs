@@ -268,7 +268,7 @@
 //! |---|---|---|
 //! | `--addr` | `127.0.0.1:7878` | bind address (port `0` picks one) |
 //! | `--shards` | `1` | independent shards; requests route by canonical fingerprint |
-//! | `--workers` | cores (≤ 8) | solver threads, split across shards |
+//! | `--workers` | cores (≤ 8) | solver threads, split across shards; also the solves a shard runs on connection threads |
 //! | `--batch` | `16` | max queued jobs per micro-batched `solve_batch` call |
 //! | `--cache-cap` | `4096` | LRU cache entries **per shard** (`0` disables) |
 //! | `--queue-cap` | `1024` | bounded queue slots **per shard** (full → `busy`) |
