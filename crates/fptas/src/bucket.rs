@@ -15,6 +15,20 @@
 //! inner loop. The `max(edges[k-1]+1, ·)` clamp can only *narrow* buckets
 //! below the exact geometric grid, so the `(1+δ)`-per-trim error bound of
 //! the FPTAS analysis is preserved (never loosened).
+//!
+//! The build itself avoids most `powi` calls, and its edges are bit-identical
+//! to one `powi(k)` per edge (pinned against that reference by test):
+//!
+//! * **Identity prefix** — while `(1+δ)^k ≤ k + 1`, for loads up to about
+//!   `ln(1/δ)/δ`, the clamp wins and `edges[k] = k + 1`. A `ln`-based bound
+//!   with a wide margin finds how far that provably holds, and that prefix
+//!   is written without any `powi`. For Algorithm 5's grids it is most of
+//!   the table.
+//! * **Geometric tail** — `(1+δ)^k` is tracked by one multiplication per
+//!   edge, restarted from every `powi` the build computes. Its distance from
+//!   `powi(k)` has a proven bound (see [`BucketGrid::new`]); wherever an
+//!   integer lies within that bound the ceiling could differ, so that edge
+//!   calls `powi` instead.
 
 /// Monotone integer log-grid: bucket `0` holds load `0`, bucket `k ≥ 1`
 /// holds the integer loads in `[edges[k-1], edges[k])`.
@@ -31,22 +45,41 @@ impl BucketGrid {
     /// prune loads above their incumbent bound before bucketing, so the
     /// saturation range is never consulted in a guarantee-carrying run).
     ///
+    /// The edges equal `max(edges[k-1]+1, ⌈powi(1+δ, k)⌉)` bit for bit, but
+    /// `powi` runs only where that is needed to know the ceiling:
+    ///
+    /// * the identity prefix `edges[k] = k + 1` is written directly for
+    ///   every `k` up to the bound `identity_prefix` proves;
+    /// * past it, `x` tracks `powi(k)` as the product of the last computed
+    ///   `powi(k₁)` and `k − k₁` factors of `1 + δ`. Both are `(1+δ)^k`
+    ///   within a relative `γ_k = k·u/(1 − k·u)` (`u = 2⁻⁵³`; `powi`
+    ///   squares and multiplies, at most `k − 1` roundings), so
+    ///   `|x − powi(k)| ≤ 2γ_k·(1+δ)^k`, under `b = 4k·u·x`. When no
+    ///   integer lies within `b` of `x`, `⌈x⌉ = ⌈powi(k)⌉` (below `2⁵²`
+    ///   both gaps `⌈x⌉ − x` and `x − ⌊x⌋` are exact); otherwise the edge
+    ///   calls `powi` and `x` restarts from it. Every `f64` from `2⁵²` up is
+    ///   an integer, so there every edge calls `powi`.
+    ///
     /// Requires `delta > 0`.
     pub fn new(delta: f64, max_load: u64) -> Self {
         debug_assert!(delta > 0.0, "a trimming grid needs δ > 0");
         let growth = 1.0 + delta;
-        let mut edges: Vec<u64> = vec![1];
-        let mut k = 0i32;
+        let prefix = identity_prefix(growth, max_load);
+        let mut edges: Vec<u64> = (1..=prefix + 1).collect();
+        let mut k = i32::try_from(prefix).expect("a grid of 2³¹ edges does not fit in memory");
+        let mut x = growth.powi(k);
         loop {
             let last = *edges.last().expect("edges is non-empty");
             if last > max_load {
                 break;
             }
             k += 1;
-            // `powi` per edge (not cumulative multiplication) keeps the
-            // drift at ~1 ulp; the strict-increase clamp makes the grid
-            // monotone regardless.
-            let geometric = growth.powi(k).ceil();
+            x *= growth;
+            let bound = x * f64::from(k) * (2.0 * f64::EPSILON);
+            if x.ceil() - x <= bound || x - x.floor() <= bound {
+                x = growth.powi(k);
+            }
+            let geometric = x.ceil();
             let next = if geometric >= u64::MAX as f64 {
                 u64::MAX
             } else {
@@ -93,9 +126,100 @@ impl BucketGrid {
     }
 }
 
+/// The largest `K ≤ max_load` for which every `k ≤ K` provably has
+/// `powi(growth, k) ≤ k + 1`, so the clamp sets `edges[k] = k + 1`.
+///
+/// `powi(k) ≤ growth^k·(1 + γ_k)`, and `ln(1 + γ_k) ≤ 2k·u`, so
+/// `ψ(k) = ln(k+1) − k·ln(growth) − ln(1 + γ_k) ≥ 0` suffices. The test
+/// below checks it with margins (`10⁻⁹` relative, `10⁻¹⁵` per `k` for the
+/// `2k·u` term) that dwarf the rounding of its few float operations. `ψ` is
+/// concave, so it holds on all of `[1, K]` once it holds at both ends: the
+/// binary search only ever accepts a `k` the test passed.
+fn identity_prefix(growth: f64, max_load: u64) -> u64 {
+    let ln_growth = growth.ln();
+    let clamp_wins = |k: u64| {
+        let k = k as f64;
+        k * ln_growth * (1.0 + 1e-9) + k * 1e-15 + 1e-12 <= (k + 1.0).ln() * (1.0 - 1e-9)
+    };
+    if max_load == 0 || !clamp_wins(1) {
+        return 0;
+    }
+    if clamp_wins(max_load) {
+        return max_load;
+    }
+    let (mut lo, mut hi) = (1u64, max_load);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if clamp_wins(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rm_cmax::MAX_GRID_EDGES;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The grid as built before the identity prefix and the product tail:
+    /// one `powi` per edge. `BucketGrid::new` must match it bit for bit.
+    fn reference_edges(delta: f64, max_load: u64) -> Vec<u64> {
+        let growth = 1.0 + delta;
+        let mut edges: Vec<u64> = vec![1];
+        let mut k = 0i32;
+        loop {
+            let last = *edges.last().expect("edges is non-empty");
+            if last > max_load {
+                break;
+            }
+            k += 1;
+            let geometric = growth.powi(k).ceil();
+            let next = if geometric >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                (geometric as u64).max(last + 1)
+            };
+            edges.push(next);
+            if next == u64::MAX {
+                break;
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn edges_match_the_powi_reference() {
+        // Algorithm 5's δ = ε/(2n), over its ε ladder, n in 3..=300 and max
+        // loads up to 2⁴⁰, sampled: the reference is slow in debug builds.
+        let mut rng = StdRng::seed_from_u64(67);
+        let mut cases: Vec<(f64, u64, u64)> = Vec::new();
+        for &eps in &[1.0, 0.5, 0.125, 0.02] {
+            // Both ends of the n range at the largest load, then samples.
+            cases.push((eps, 3, 1 << 40));
+            cases.push((eps, 300, 1 << 40));
+            for _ in 0..40 {
+                let n = rng.gen_range(3..=300);
+                let bits = rng.gen_range(0..=40);
+                cases.push((eps, n, rng.gen_range(1..=1u64 << bits)));
+            }
+        }
+        for (eps, n, max_load) in cases {
+            let delta = eps / (2.0 * n as f64);
+            if BucketGrid::projected_edges(delta, max_load) > MAX_GRID_EDGES {
+                continue;
+            }
+            assert_eq!(
+                BucketGrid::new(delta, max_load).edges,
+                reference_edges(delta, max_load),
+                "ε={eps} n={n} max_load={max_load}"
+            );
+        }
+    }
 
     #[test]
     fn zero_and_one_are_distinct_buckets() {

@@ -20,14 +20,19 @@
 //! public API, the tests and the criterion bench, run the keyed sweep:
 //! coordinates pack into one `u128` hashed by an in-crate multiply-xor
 //! hasher, and `m = 3` layers get a Pareto-dominance filter. Both paths
+//! sweep the jobs largest first (row minimum descending; the schedule comes
+//! back in the caller's job order, and the result does not depend on it),
 //! share the greedy incumbent plus suffix lower bounds that kill hopeless
-//! states and stream their load arenas (only compact backpointers are
+//! states, and stream their load arenas (only compact backpointers are
 //! retained per layer). [`rm_cmax_fptas_with`] exposes the knobs: a
 //! [`state_cap`](FptasParams::state_cap) bounding any layer's width (with
 //! graceful ε-coarsening or a typed [`FptasError`]), pruning and
 //! parallel-expansion toggles (the latter without effect on two
 //! machines). Bucketing is the monotone integer grid of
-//! [`bucket::BucketGrid`].
+//! [`bucket::BucketGrid`], whose build writes the clamped identity prefix
+//! directly and tracks the geometric tail by multiplication, with `powi`
+//! only where its ceiling could differ: the edges are bit-identical to
+//! one `powi` per edge.
 
 #![warn(missing_docs)]
 // Unsafe code is confined to bisched-obs (the model-checked ring)

@@ -65,6 +65,17 @@
 //!
 //! ## Shared by both
 //!
+//! * **Job order** — [`rm_cmax_fptas_with`] sorts the columns once, largest
+//!   jobs first: row minimum descending, ties on the column's values, then
+//!   on index. The incumbent, the suffix bounds and every sweep (coarsening
+//!   retries included) run on the sorted matrix, and the schedule is mapped
+//!   back to the caller's job order. The trimming bound above never uses
+//!   the order: each job is one trim of at most `(1+δ)`, whichever position
+//!   it takes. Large jobs first keeps the trimmed layers narrow: the small
+//!   jobs come last, when they move the loads by less than a bucket, so
+//!   their children mostly merge back into their parents' buckets. And
+//!   since the sort key fixes the sorted matrix, the result, counters
+//!   included, does not depend on the caller's job order.
 //! * **Monotone integer grid** — bucketing goes through
 //!   [`BucketGrid`]: no `f64::ln` in the inner
 //!   loop, and boundary rounding can never destroy monotonicity.
@@ -90,7 +101,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// paying for itself (δ so small that buckets are near-singletons); the
 /// sweep falls back to the exact Pareto DP, which is strictly more
 /// accurate.
-const MAX_GRID_EDGES: f64 = 4e6;
+pub(crate) const MAX_GRID_EDGES: f64 = 4e6;
 
 /// States expanded per parallel chunk (see [`FptasParams::parallel`]).
 const PARALLEL_CHUNK: usize = 1024;
@@ -229,7 +240,8 @@ impl std::error::Error for FptasError {}
 /// Result of one FPTAS run.
 #[derive(Clone, Debug)]
 pub struct FptasResult {
-    /// The produced schedule (assignment of all jobs).
+    /// The produced schedule (assignment of all jobs), in the caller's job
+    /// order: `schedule.machine_of(j)` is the machine of column `j`.
     pub schedule: Schedule,
     /// Its true makespan (computed from the real loads, not the trimmed
     /// surrogates — the guarantee is `makespan ≤ (1+ε)·OPT`).
@@ -295,13 +307,25 @@ pub fn rm_cmax_fptas_with(
         });
     }
 
-    let incumbent = greedy_incumbent(times, m, n);
-    let suffix_min = suffix_min_sums(times, m, n);
+    // Sweep the largest jobs first (see "Job order" in the module docs).
+    // `order[k]` is the caller's index of sorted column `k`.
+    let order = lpt_order(times, m, n);
+    let sorted: Vec<Vec<u64>> = times
+        .iter()
+        .map(|row| order.iter().map(|&j| row[j]).collect())
+        .collect();
+    let incumbent = greedy_incumbent(&sorted, m, n);
+    let suffix_min = suffix_min_sums(&sorted, m, n);
 
     let mut eps_eff = params.eps;
     loop {
-        match sweep(times, m, n, eps_eff, params, &incumbent, &suffix_min) {
+        match sweep(&sorted, m, n, eps_eff, params, &incumbent, &suffix_min) {
             Ok(mut result) => {
+                let mut assignment = vec![0u32; n];
+                for (&j, &i) in order.iter().zip(result.schedule.assignment()) {
+                    assignment[j] = i;
+                }
+                result.schedule = Schedule::new(assignment);
                 result.eps_requested = params.eps;
                 result.eps_effective = eps_eff;
                 return Ok(result);
@@ -343,31 +367,44 @@ pub fn makespan_of(times: &[Vec<u64>], assignment: &[u32]) -> u64 {
     loads.into_iter().max().unwrap_or(0)
 }
 
-/// The greedy upper bound seeding the pruning threshold: jobs in LPT
-/// order of their row minima, each to the machine minimising its
-/// resulting load. Any feasible assignment is a valid bound; this one is
-/// cheap (`O(n(m + log n))`) and usually tight enough to matter.
+/// The sweep's job order: row minimum descending (LPT), ties broken on the
+/// column's values (descending) and then on index. Equal keys mean equal
+/// columns, so the sorted matrix does not depend on the caller's order.
+fn lpt_order(times: &[Vec<u64>], m: usize, n: usize) -> Vec<usize> {
+    let row_min: Vec<u64> = (0..n)
+        .map(|j| (0..m).map(|i| times[i][j]).min().expect("m >= 1"))
+        .collect();
+    let column = |j: usize| times.iter().map(move |row| row[j]);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| {
+        row_min[b]
+            .cmp(&row_min[a])
+            .then_with(|| column(b).cmp(column(a)))
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// The greedy upper bound seeding the pruning threshold. Any feasible
+/// assignment is a valid bound; this one is cheap (`O(n·m)`) and usually
+/// tight enough to matter.
 struct Incumbent {
     assignment: Vec<u32>,
     makespan: u64,
 }
 
+/// Jobs in matrix order, each to the machine minimising its resulting
+/// load. [`rm_cmax_fptas_with`] hands it the LPT-sorted matrix (see
+/// `lpt_order`), so this is greedy LPT on the row minima.
 fn greedy_incumbent(times: &[Vec<u64>], m: usize, n: usize) -> Incumbent {
-    let row_min = |j: usize| (0..m).map(|i| times[i][j]).min().expect("m >= 1");
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        row_min(b as usize)
-            .cmp(&row_min(a as usize))
-            .then(a.cmp(&b))
-    });
     let mut loads = vec![0u64; m];
     let mut assignment = vec![0u32; n];
-    for &j in &order {
+    for (j, slot) in assignment.iter_mut().enumerate() {
         let best = (0..m)
-            .min_by_key(|&i| (loads[i] + times[i][j as usize], i))
+            .min_by_key(|&i| (loads[i] + times[i][j], i))
             .expect("m >= 1");
-        loads[best] += times[best][j as usize];
-        assignment[j as usize] = best as u32;
+        loads[best] += times[best][j];
+        *slot = best as u32;
     }
     Incumbent {
         assignment,

@@ -7,6 +7,8 @@ use bisched_fptas::{
     makespan_of, rm_cmax_exact, rm_cmax_fptas, rm_cmax_fptas_with, BucketGrid, FptasParams,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn matrix(max_m: usize, max_n: usize, max_p: u64) -> impl Strategy<Value = Vec<Vec<u64>>> {
     (1..=max_m, 0..=max_n).prop_flat_map(move |(m, n)| {
@@ -137,6 +139,37 @@ proptest! {
     }
 
     #[test]
+    fn sweep_ignores_job_order(
+        times in matrix(3, 9, 100),
+        seed in any::<u64>(),
+        eps_pct in 1u32..=200,
+    ) {
+        // The sweep sorts the columns itself, so a permuted matrix runs the
+        // same DP, counters and all, exactly and trimmed; each schedule
+        // comes back in its caller's job order.
+        prop_assume!(times.len() >= 2);
+        let n = times[0].len();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut perm: Vec<usize> = (0..n).collect();
+        for j in (1..n).rev() {
+            perm.swap(j, rng.gen_range(0..=j));
+        }
+        let permuted: Vec<Vec<u64>> = times
+            .iter()
+            .map(|row| perm.iter().map(|&j| row[j]).collect())
+            .collect();
+        for eps in [0.0, eps_pct as f64 / 100.0] {
+            let a = rm_cmax_fptas(&times, eps);
+            let b = rm_cmax_fptas(&permuted, eps);
+            prop_assert_eq!(makespan_of(&times, a.schedule.assignment()), a.makespan);
+            prop_assert_eq!(makespan_of(&permuted, b.schedule.assignment()), b.makespan);
+            let original = (a.makespan, a.expanded, a.pruned, a.peak_states);
+            let shuffled = (b.makespan, b.expanded, b.pruned, b.peak_states);
+            prop_assert_eq!(original, shuffled, "eps={}: {:?} vs permuted {:?}", eps, original, shuffled);
+        }
+    }
+
+    #[test]
     fn bucket_grid_is_monotone(
         delta_m in 1u32..=4000,
         probes in proptest::collection::vec(1u64..=1_000_000, 16)
@@ -169,8 +202,6 @@ proptest! {
 /// the unpruned one, and is identical in exact mode.
 #[test]
 fn pruned_never_worse_on_pinned_grid() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let m = rng.gen_range(2..=3);
