@@ -270,8 +270,8 @@ impl Solver {
 
     /// The `Portfolio` policy: a concurrent race over the members.
     ///
-    /// Up to `available_parallelism` workers pull member indices off a
-    /// shared queue; every member runs through [`run_method_ctl`] with one
+    /// Up to `available_parallelism` workers (the calling thread plus
+    /// scoped spawns) pull member indices off a shared queue; every member runs through [`run_method_ctl`] with one
     /// shared [`SearchCtl`], so the budgeted engines prune against each
     /// other's incumbents and the first proven-optimal answer cancels the
     /// rest (members that have not started yet are recorded as
@@ -303,19 +303,15 @@ impl Solver {
             let (run, sol) = self.race_member(inst, method, &ctl, t0);
             results.lock().unwrap().push((i, run, sol));
         };
-        if workers == 1 {
-            // A single hardware thread degenerates the race to
-            // sequential-with-skip; running it inline skips the
-            // thread-scope setup, which would otherwise dwarf the
-            // sub-millisecond cells.
+        // The calling thread is a worker too: each spawn costs tens of
+        // microseconds against sub-millisecond cells, and a single
+        // hardware thread runs the race inline as sequential-with-skip.
+        rayon::scope(|s| {
+            for _ in 1..workers {
+                s.spawn(|_| race_worker());
+            }
             race_worker();
-        } else {
-            rayon::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| race_worker());
-                }
-            });
-        }
+        });
         let race_time = t0.elapsed();
         drop(race_span);
         let mut ordered = results.into_inner().unwrap();

@@ -18,8 +18,11 @@
 //! ## Search
 //!
 //! The optimum is found by binary-searching `T` downward from a greedy
-//! incumbent ([`bisched_exact::greedy_incumbent`]): each probe runs a
-//! propagation-backed decision search —
+//! incumbent ([`bisched_exact::greedy_incumbent`]) to the root bound of
+//! [`bisched_exact::lower_bounds`] (the fractional, largest-job and
+//! edge-pair bounds, rounded up into scaled units; on `Q` it divides the
+//! total work by the total speed). Each probe runs a propagation-backed
+//! decision search —
 //!
 //! * **load/horizon propagation**: assigning a job removes every
 //!   machine whose remaining capacity under `T` it would overflow from
@@ -155,16 +158,7 @@ pub fn cp_solve_ctl(
             .ok_or_else(|| "cp: total scaled work overflows u64".to_string())?;
     }
 
-    // Lower bound: fractional average of domain-minimal costs, and the
-    // largest domain-minimal cost (some machine must take each job).
-    let mut min_sum: u128 = 0;
-    let mut min_max: u64 = 0;
-    for row in &costs {
-        let cheapest = row.iter().copied().min().unwrap_or(0);
-        min_sum += cheapest as u128;
-        min_max = min_max.max(cheapest);
-    }
-    let mut lo = (min_sum.div_ceil(m.max(1) as u128) as u64).max(min_max);
+    let mut lo = scaled_root_bound(inst, scale, t_max);
 
     let mut stats = Stats {
         nodes: 0,
@@ -342,6 +336,18 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
         (a, b) = (b, a % b);
     }
     a.max(1)
+}
+
+/// The lower bounds module's root bound (fractional load over the total
+/// speed, the largest job on the fastest machine, the edge-pair bound)
+/// rounded up into scaled units: `L·OPT` is an integer at or above
+/// `L·bound`, so the ceiling is still a lower bound. Capped at `t_max`,
+/// which bounds every feasible scaled makespan.
+fn scaled_root_bound(inst: &Instance, scale: u64, t_max: u64) -> u64 {
+    let root = bisched_exact::lower_bounds::root_lower_bound(inst).to_rat();
+    (root.num() as u128 * scale as u128)
+        .div_ceil(root.den() as u128)
+        .min(t_max as u128) as u64
 }
 
 /// Exact rescale of a rational makespan: `r · scale`, which is integral
@@ -887,6 +893,57 @@ mod tests {
         assert!(out.complete);
         assert!(out.best.is_none());
         assert!(out.proven_lower.is_none());
+    }
+
+    #[test]
+    fn root_bound_dominates_the_old_start_and_stays_below_the_optimum() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for trial in 0..120 {
+            let n = rng.gen_range(1..=8);
+            let m = rng.gen_range(2..=4);
+            let g = gilbert_bipartite(n / 2, n - n / 2, rng.gen_range(0.0..0.6), &mut rng);
+            let p = JobSizes::Uniform { lo: 1, hi: 12 }.sample(n, &mut rng);
+            let inst = match trial % 3 {
+                0 => Instance::identical(m, p, g).unwrap(),
+                1 => {
+                    let speeds = (0..m).map(|_| rng.gen_range(1..=7)).collect();
+                    Instance::uniform(speeds, p, g).unwrap()
+                }
+                _ => {
+                    let times = (0..m)
+                        .map(|_| (0..n).map(|_| rng.gen_range(1..=12)).collect())
+                        .collect();
+                    Instance::unrelated(times, g).unwrap()
+                }
+            };
+            let scale = scaled_costs_scale(&inst).unwrap();
+            let costs = scaled_costs(&inst).unwrap();
+            // The start the binary search had before it took the shared
+            // root bound: max(⌈Σ min-cost / m⌉, max min-cost).
+            let mins: Vec<u64> = costs.iter().map(|r| *r.iter().min().unwrap()).collect();
+            let old = mins
+                .iter()
+                .sum::<u64>()
+                .div_ceil(m as u64)
+                .max(*mins.iter().max().unwrap());
+            let lo = scaled_root_bound(&inst, scale, u64::MAX);
+            let opt = brute_force(&inst).map(|o| o.makespan);
+            if matches!(inst.env(), MachineEnvironment::Uniform { .. }) {
+                assert!(lo >= old, "{}: lo {lo} < old {old}", inst.describe());
+            } else {
+                assert_eq!(lo, old, "{}: P and R keep their start", inst.describe());
+            }
+            let cp = cp_solve_with(&inst, &CpLimits::default()).expect("applicable");
+            assert!(cp.complete);
+            if let Some(opt) = opt {
+                assert!(
+                    Rat::new(lo, scale) <= opt,
+                    "{}: lo {lo}/{scale} > {opt}",
+                    inst.describe()
+                );
+                assert!(cp.proven_lower.expect("feasible") <= opt);
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,32 @@
 //! Feasibility tests run on precomputed per-job conflict bitmasks
 //! ([`crate::bitset::BitSet`]) instead of per-node neighbor scans, and
 //! the candidate list lives in per-depth buffers allocated once per
-//! search — the hot loop allocates nothing. Everything is exact rational
-//! arithmetic.
+//! search — the hot loop allocates nothing.
+//!
+//! ## Arithmetic and the makespan grid
+//!
+//! Completion times, the partial makespan and every bound term are
+//! unreduced `(work, speed)` pairs ([`Frac`]) compared exactly by `u128`
+//! cross-multiplication; no gcd is taken in the hot loop. A `Rat` is
+//! built only when an incumbent is published to a [`SearchCtl`] and for
+//! the returned [`Optimum`].
+//!
+//! Every makespan lies on a grid: it is `k / s` for an integer machine
+//! load `k` and some machine speed `s` (on `P` and `R` it is an
+//! integer). On each incumbent improvement the search computes `pred`,
+//! the largest grid value strictly below the incumbent. It cuts a node
+//! whose bound exceeds `pred`, ends a candidate list at the first
+//! completion time above `pred`, and accepts a leaf only at or below
+//! `pred`. A bound above `pred` means every completion of the node has
+//! makespan at least the incumbent, so a cut subtree holds no strict
+//! improvement. Completion times lie on the grid, so the candidate and
+//! leaf tests decide exactly as "reaches the incumbent" would; only the
+//! node cut is stronger than cutting once the bound reaches the
+//! incumbent. The surviving nodes are visited in the same order, so the
+//! sequence of incumbents, the returned schedule and the `complete` flag
+//! are those of that weaker search (the `reference` test module keeps it
+//! and compares); only node counts fall, and under a node budget each
+//! incumbent is reached no later.
 //!
 //! Budgets: a node budget and an optional wall-clock deadline
 //! ([`BnbLimits`]). Exhaustion is tracked explicitly, so
@@ -27,8 +51,8 @@
 //! node.
 
 use crate::bruteforce::Optimum;
-use crate::lower_bounds::IncrementalBounds;
-use crate::search_ctl::{rat_to_f64_down, SearchCtl};
+use crate::lower_bounds::{Frac, IncrementalBounds};
+use crate::search_ctl::{fraction_to_f64_down, SearchCtl};
 use bisched_graph::bipartition;
 use bisched_model::{Instance, MachineEnvironment, MachineId, Rat, Schedule};
 use std::time::{Duration, Instant};
@@ -125,21 +149,23 @@ pub fn branch_and_bound_ctl(
 ) -> BnbOutcome {
     let n = inst.num_jobs();
     let m = inst.num_machines();
-    // LPT branching order (min-row for R); degree breaks ties so the
-    // most-constrained among equal jobs is branched first.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        inst.processing(b)
-            .cmp(&inst.processing(a))
-            .then(inst.graph().degree(b).cmp(&inst.graph().degree(a)))
-            .then(a.cmp(&b))
-    });
-
+    let order = branching_order(inst);
     let bounds = IncrementalBounds::new(inst, &order);
     let best = greedy_incumbent(inst);
     if let (Some(ctl), Some(b)) = (ctl, &best) {
         ctl.publish_makespan(&b.makespan);
     }
+    let speeds = match inst.env() {
+        MachineEnvironment::Uniform { speeds } => speeds.clone(),
+        _ => vec![1; m],
+    };
+    let mut grid = speeds.clone();
+    grid.sort_unstable();
+    grid.dedup();
+    let pred = match &best {
+        Some(b) => grid_pred(Frac::new(b.makespan.num(), b.makespan.den()), &grid),
+        None => Some(Frac::new(u64::MAX, 1)),
+    };
     let mut search = Search {
         inst,
         sym_class: symmetry_classes(inst),
@@ -147,10 +173,13 @@ pub fn branch_and_bound_ctl(
         order,
         assignment: vec![u32::MAX; n],
         loads: vec![0; m],
+        speeds,
+        grid,
         job_count: vec![0; m],
         cands: vec![Vec::with_capacity(m); n],
         bounds,
         best,
+        pred,
         nodes: 0,
         node_limit: limits.node_limit,
         deadline: limits.deadline.map(|d| Instant::now() + d),
@@ -163,7 +192,7 @@ pub fn branch_and_bound_ctl(
         prunes_candidate: 0,
         incumbent_updates: 0,
     };
-    search.run(0);
+    search.run(0, Frac::ZERO);
     BnbOutcome {
         complete: !search.exhausted,
         optimum: search.best,
@@ -174,6 +203,36 @@ pub fn branch_and_bound_ctl(
         prunes_candidate: search.prunes_candidate,
         incumbent_updates: search.incumbent_updates,
     }
+}
+
+/// LPT branching order (min-row for `R`); degree breaks ties so the
+/// most-constrained among equal jobs is branched first.
+fn branching_order(inst: &Instance) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..inst.num_jobs() as u32).collect();
+    order.sort_by(|&a, &b| {
+        inst.processing(b)
+            .cmp(&inst.processing(a))
+            .then(inst.graph().degree(b).cmp(&inst.graph().degree(a)))
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// The largest value of the makespan grid strictly below `best`, or
+/// `None` when `best` is zero: the maximum over the grid's speeds `s`
+/// (the instance's distinct speeds; `1` on `P` and `R`) of
+/// `(⌈best·s⌉ − 1) / s`. A makespan improves on `best` iff it is at most
+/// this value. Machine loads are `u64`, so a grid numerator past
+/// `u64::MAX` is unreachable and clamps there.
+fn grid_pred(best: Frac, grid: &[u64]) -> Option<Frac> {
+    grid.iter()
+        .filter_map(|&s| {
+            let k = (best.work as u128 * s as u128)
+                .div_ceil(best.speed as u128)
+                .checked_sub(1)?;
+            Some(Frac::new(k.min(u64::MAX as u128) as u64, s))
+        })
+        .max()
 }
 
 /// Machine interchangeability classes: two machines share a class iff
@@ -313,16 +372,24 @@ struct Search<'a> {
     order: Vec<u32>,
     assignment: Vec<u32>,
     loads: Vec<u64>,
+    /// Completion-time denominators: the speeds on `Q`, ones on `P`/`R`.
+    speeds: Vec<u64>,
+    /// The makespan grid's denominators: the distinct `speeds`.
+    grid: Vec<u64>,
     /// Jobs per machine; `0` marks an *empty* (interchangeable) machine.
     job_count: Vec<u32>,
     /// Per-depth candidate buffers, allocated once.
-    cands: Vec<Vec<(Rat, MachineId)>>,
+    cands: Vec<Vec<(Frac, MachineId)>>,
     /// `sym_class[i]`: lowest machine index interchangeable with `i`.
     sym_class: Vec<u32>,
     /// Scratch: which classes already offered an empty machine.
     class_seen: Vec<bool>,
     bounds: IncrementalBounds,
     best: Option<Optimum>,
+    /// The largest makespan that still improves on `best`
+    /// ([`grid_pred`]): `u64::MAX` before the first incumbent, `None`
+    /// once nothing can.
+    pred: Option<Frac>,
     nodes: u64,
     node_limit: u64,
     deadline: Option<Instant>,
@@ -343,20 +410,9 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    fn current_makespan(&self) -> Rat {
-        match self.inst.env() {
-            MachineEnvironment::Uniform { speeds } => self
-                .loads
-                .iter()
-                .zip(speeds)
-                .map(|(&l, &s)| Rat::new(l, s))
-                .max()
-                .unwrap_or(Rat::ZERO),
-            _ => Rat::integer(self.loads.iter().copied().max().unwrap_or(0)),
-        }
-    }
-
-    fn run(&mut self, depth: usize) {
+    /// Expands the node at `depth` whose partial schedule has makespan
+    /// `mk`.
+    fn run(&mut self, depth: usize, mk: Frac) {
         if self.nodes >= self.node_limit {
             self.exhausted = true;
             return;
@@ -379,36 +435,36 @@ impl Search<'_> {
         }
         self.nodes += 1;
         if depth == self.order.len() {
-            let mk = self.current_makespan();
-            if self.best.as_ref().is_none_or(|b| mk < b.makespan) {
+            if self.pred.is_some_and(|p| mk <= p) {
+                let makespan = mk.to_rat();
                 if let Some(ctl) = self.ctl {
-                    ctl.publish_makespan(&mk);
+                    ctl.publish_makespan(&makespan);
                 }
                 self.incumbent_updates += 1;
                 // Incumbent-convergence timeline: one instant per
                 // improvement — rare by construction, so safe to emit
                 // even from the search's hot recursion.
-                bisched_obs::instant("bnb_incumbent", "bnb", "makespan_floor", mk.floor());
+                bisched_obs::instant("bnb_incumbent", "bnb", "makespan_floor", makespan.floor());
                 self.best = Some(Optimum {
                     schedule: Schedule::new(self.assignment.clone()),
-                    makespan: mk,
+                    makespan,
                 });
+                self.pred = grid_pred(mk, &self.grid);
             }
             return;
         }
         if self.best.is_some() || self.foreign.is_finite() {
-            let lb = self
-                .bounds
-                .lower_bound(&self.loads, depth)
-                .max(self.current_makespan());
-            if self.best.as_ref().is_some_and(|b| lb >= b.makespan) {
+            let lb = self.bounds.lower_bound(&self.loads, depth).max(mk);
+            // Grid cut: every completion has makespan >= lb > pred, so
+            // none improves on the incumbent.
+            if self.pred.is_none_or(|p| lb > p) {
                 self.prunes_incumbent += 1;
                 return;
             }
             // Foreign-bound cut: a racing engine already achieved a
             // makespan this subtree cannot beat (conservative rounding —
             // see `search_ctl`).
-            if rat_to_f64_down(&lb) >= self.foreign {
+            if fraction_to_f64_down(lb.work, lb.speed) >= self.foreign {
                 self.prunes_foreign += 1;
                 return;
             }
@@ -432,27 +488,25 @@ impl Search<'_> {
             } else if self.bounds.conflicts(j, i) {
                 continue;
             }
-            cands.push((
-                completion_if(self.inst, &self.loads, i as MachineId, j),
-                i as MachineId,
-            ));
+            let load = self.loads[i] + job_cost(self.inst, i as MachineId, j);
+            cands.push((Frac::new(load, self.speeds[i]), i as MachineId));
         }
         // Best-first: try machines in order of resulting completion time.
         cands.sort_unstable();
         for &(c, i) in cands.iter() {
             // Candidate cut: machine `i`'s completion only grows below
-            // this node, and candidates are sorted, so the first one at
-            // or past the incumbent ends the whole list.
-            if self.best.as_ref().is_some_and(|b| c >= b.makespan) {
+            // this node, and candidates are sorted, so the first one past
+            // `pred` (at or past the incumbent) ends the whole list.
+            if self.pred.is_none_or(|p| c > p) {
                 self.prunes_candidate += 1;
                 break;
             }
-            let cost = job_cost(self.inst, i, j);
-            self.loads[i as usize] += cost;
+            let cost = c.work - self.loads[i as usize];
+            self.loads[i as usize] = c.work;
             self.job_count[i as usize] += 1;
             self.assignment[j as usize] = i;
             self.bounds.assign(j, i as usize);
-            self.run(depth + 1);
+            self.run(depth + 1, mk.max(c));
             self.bounds.unassign(j, i as usize);
             self.assignment[j as usize] = u32::MAX;
             self.job_count[i as usize] -= 1;
@@ -462,6 +516,154 @@ impl Search<'_> {
             }
         }
         self.cands[depth] = cands;
+    }
+}
+
+/// The test oracle for the grid cut: the same search with every
+/// completion time, makespan and bound a gcd-normalised `Rat`, cutting a
+/// subtree only once its bound reaches the incumbent. The race controls
+/// are left out; the comparison runs standalone.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn branch_and_bound(inst: &Instance, node_limit: u64) -> BnbOutcome {
+        let n = inst.num_jobs();
+        let m = inst.num_machines();
+        let order = branching_order(inst);
+        let mut search = Search {
+            inst,
+            sym_class: symmetry_classes(inst),
+            class_seen: vec![false; m],
+            bounds: IncrementalBounds::new(inst, &order),
+            order,
+            assignment: vec![u32::MAX; n],
+            loads: vec![0; m],
+            job_count: vec![0; m],
+            cands: vec![Vec::with_capacity(m); n],
+            best: greedy_incumbent(inst),
+            nodes: 0,
+            node_limit,
+            exhausted: false,
+            prunes_incumbent: 0,
+            prunes_candidate: 0,
+            incumbent_updates: 0,
+        };
+        search.run(0);
+        BnbOutcome {
+            complete: !search.exhausted,
+            optimum: search.best,
+            nodes: search.nodes,
+            cancelled: false,
+            prunes_incumbent: search.prunes_incumbent,
+            prunes_foreign: 0,
+            prunes_candidate: search.prunes_candidate,
+            incumbent_updates: search.incumbent_updates,
+        }
+    }
+
+    struct Search<'a> {
+        inst: &'a Instance,
+        order: Vec<u32>,
+        assignment: Vec<u32>,
+        loads: Vec<u64>,
+        job_count: Vec<u32>,
+        cands: Vec<Vec<(Rat, MachineId)>>,
+        sym_class: Vec<u32>,
+        class_seen: Vec<bool>,
+        bounds: IncrementalBounds,
+        best: Option<Optimum>,
+        nodes: u64,
+        node_limit: u64,
+        exhausted: bool,
+        prunes_incumbent: u64,
+        prunes_candidate: u64,
+        incumbent_updates: u64,
+    }
+
+    impl Search<'_> {
+        fn current_makespan(&self) -> Rat {
+            match self.inst.env() {
+                MachineEnvironment::Uniform { speeds } => self
+                    .loads
+                    .iter()
+                    .zip(speeds)
+                    .map(|(&l, &s)| Rat::new(l, s))
+                    .max()
+                    .unwrap_or(Rat::ZERO),
+                _ => Rat::integer(self.loads.iter().copied().max().unwrap_or(0)),
+            }
+        }
+
+        fn run(&mut self, depth: usize) {
+            if self.nodes >= self.node_limit {
+                self.exhausted = true;
+                return;
+            }
+            self.nodes += 1;
+            if depth == self.order.len() {
+                let mk = self.current_makespan();
+                if self.best.as_ref().is_none_or(|b| mk < b.makespan) {
+                    self.incumbent_updates += 1;
+                    self.best = Some(Optimum {
+                        schedule: Schedule::new(self.assignment.clone()),
+                        makespan: mk,
+                    });
+                }
+                return;
+            }
+            if let Some(best) = &self.best {
+                let lb = self
+                    .bounds
+                    .lower_bound(&self.loads, depth)
+                    .to_rat()
+                    .max(self.current_makespan());
+                if lb >= best.makespan {
+                    self.prunes_incumbent += 1;
+                    return;
+                }
+            }
+            let j = self.order[depth];
+            let mut cands = std::mem::take(&mut self.cands[depth]);
+            cands.clear();
+            self.class_seen.iter_mut().for_each(|x| *x = false);
+            for i in 0..self.inst.num_machines() {
+                if self.job_count[i] == 0 {
+                    let class = self.sym_class[i] as usize;
+                    if self.class_seen[class] {
+                        continue;
+                    }
+                    self.class_seen[class] = true;
+                } else if self.bounds.conflicts(j, i) {
+                    continue;
+                }
+                cands.push((
+                    completion_if(self.inst, &self.loads, i as MachineId, j),
+                    i as MachineId,
+                ));
+            }
+            cands.sort_unstable();
+            for &(c, i) in cands.iter() {
+                if self.best.as_ref().is_some_and(|b| c >= b.makespan) {
+                    self.prunes_candidate += 1;
+                    break;
+                }
+                let cost = job_cost(self.inst, i, j);
+                self.loads[i as usize] += cost;
+                self.job_count[i as usize] += 1;
+                self.assignment[j as usize] = i;
+                self.bounds.assign(j, i as usize);
+                self.run(depth + 1);
+                self.bounds.unassign(j, i as usize);
+                self.assignment[j as usize] = u32::MAX;
+                self.job_count[i as usize] -= 1;
+                self.loads[i as usize] -= cost;
+                if self.exhausted {
+                    break;
+                }
+            }
+            self.cands[depth] = cands;
+        }
     }
 }
 
@@ -713,5 +915,106 @@ mod tests {
         let out = branch_and_bound(&inst, 1_000_000);
         assert!(out.complete);
         assert!(out.optimum.is_none());
+    }
+
+    #[test]
+    fn grid_pred_is_the_largest_grid_value_below_the_incumbent() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..2000 {
+            let mut grid: Vec<u64> = (0..rng.gen_range(1..=4))
+                .map(|_| rng.gen_range(1..=7))
+                .collect();
+            grid.sort_unstable();
+            grid.dedup();
+            let best = Frac::new(rng.gen_range(0..=60), rng.gen_range(1..=12));
+            // Brute force: scan every k / s up to one past the incumbent.
+            let mut scan: Option<Frac> = None;
+            for &s in &grid {
+                for k in 0..=best.work * s / best.speed + 1 {
+                    let v = Frac::new(k, s);
+                    if v < best && scan.is_none_or(|b| v > b) {
+                        scan = Some(v);
+                    }
+                }
+            }
+            assert_eq!(grid_pred(best, &grid), scan, "best {best:?} grid {grid:?}");
+        }
+        // Integers on `P`/`R`; a mixed `Q` grid lands between them.
+        assert_eq!(grid_pred(Frac::new(19, 1), &[1]), Some(Frac::new(18, 1)));
+        assert_eq!(
+            grid_pred(Frac::new(27, 2), &[2, 3, 5]),
+            Some(Frac::new(67, 5))
+        );
+        assert_eq!(grid_pred(Frac::ZERO, &[1, 3]), None);
+        // A numerator past `u64::MAX` is no machine's load: it clamps.
+        let max = Frac::new(u64::MAX, 1);
+        assert_eq!(grid_pred(max, &[4]), Some(Frac::new(u64::MAX, 4)));
+        assert_eq!(grid_pred(max, &[1, 4]), Some(Frac::new(u64::MAX - 1, 1)));
+    }
+
+    /// A random instance for the reference comparison: up to 14 jobs on
+    /// 2–4 machines over a bipartite graph of random density; `Q` speeds
+    /// come from `1..=7`, so mixed grids like `{5, 3, 2}` occur.
+    fn random_instance(seed: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=14);
+        let m = rng.gen_range(2..=4);
+        let p_edge = rng.gen_range(0.0..0.6);
+        let g = gilbert_bipartite(n / 2, n - n / 2, p_edge, &mut rng);
+        let p = JobSizes::Uniform { lo: 1, hi: 12 }.sample(n, &mut rng);
+        match seed % 3 {
+            0 => Instance::identical(m, p, g).unwrap(),
+            1 => {
+                let speeds = (0..m).map(|_| rng.gen_range(1..=7)).collect();
+                Instance::uniform(speeds, p, g).unwrap()
+            }
+            _ => {
+                let times = (0..m)
+                    .map(|_| (0..n).map(|_| rng.gen_range(1..=12)).collect())
+                    .collect();
+                Instance::unrelated(times, g).unwrap()
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn grid_search_matches_the_reference_with_no_more_nodes(
+            seed in proptest::prelude::any::<u64>()
+        ) {
+            let inst = random_instance(seed);
+            let new = branch_and_bound(&inst, u64::MAX);
+            let old = reference::branch_and_bound(&inst, u64::MAX);
+            proptest::prop_assert!(new.complete && old.complete);
+            proptest::prop_assert!(
+                new.nodes <= old.nodes,
+                "{}: {} nodes, reference {}", inst.describe(), new.nodes, old.nodes
+            );
+            match (&new.optimum, &old.optimum) {
+                (Some(a), Some(b)) => {
+                    proptest::prop_assert_eq!(a.makespan, b.makespan);
+                    proptest::prop_assert_eq!(&a.schedule, &b.schedule);
+                }
+                (None, None) => {}
+                _ => proptest::prop_assert!(false, "feasibility disagreement"),
+            }
+            if inst.num_jobs() <= 9 {
+                proptest::prop_assert_eq!(
+                    brute_force(&inst).map(|o| o.makespan),
+                    new.optimum.map(|o| o.makespan)
+                );
+            }
+            // Under a node budget every incumbent arrives no later.
+            for budget in [3, 20, 100] {
+                let new = branch_and_bound(&inst, budget);
+                let old = reference::branch_and_bound(&inst, budget);
+                if let Some(b) = old.optimum {
+                    let a = new.optimum.expect("the reference found an incumbent");
+                    proptest::prop_assert!(a.makespan <= b.makespan);
+                }
+            }
+        }
     }
 }

@@ -26,9 +26,72 @@
 //! Updates are `O((deg(j) + m) · ⌈n/64⌉)` per assign/unassign — constant
 //! word work per neighbor at oracle scales (`n ≲ 64`) — and the bound
 //! query is `O(m)`.
+//!
+//! Every bound term is a work total over a speed total, and the query
+//! returns the largest one as an unreduced [`Frac`] `(work, speed)`
+//! pair: no gcd and no division on the search's hot path, and an exact
+//! comparison by `u128` cross-multiplication. [`root_lower_bound`] is
+//! the same query with nothing assigned; the CP engine starts its
+//! makespan search from it.
 
 use crate::bitset::BitSet;
 use bisched_model::{Instance, MachineEnvironment, Rat};
+use std::cmp::Ordering;
+
+/// An unreduced fraction `work / speed`: a completion time, a makespan
+/// or a bound term. It is never normalized; comparisons cross-multiply
+/// in `u128`, so `2/4 == 1/2`.
+#[derive(Clone, Copy, Debug)]
+pub struct Frac {
+    /// Numerator: an amount of work (a load or a sum of job weights).
+    pub(crate) work: u64,
+    /// Denominator: a speed or a sum of speeds (`1` on `P`/`R` loads);
+    /// never zero.
+    pub(crate) speed: u64,
+}
+
+impl Frac {
+    pub(crate) const ZERO: Frac = Frac { work: 0, speed: 1 };
+
+    /// `work / speed`, kept unreduced.
+    pub(crate) fn new(work: u64, speed: u64) -> Frac {
+        debug_assert!(speed != 0, "fraction with zero speed");
+        Frac { work, speed }
+    }
+
+    /// The same value in lowest terms.
+    pub fn to_rat(self) -> Rat {
+        Rat::new(self.work, self.speed)
+    }
+}
+
+impl PartialEq for Frac {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frac {}
+
+impl PartialOrd for Frac {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Frac {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.work as u128 * other.speed as u128).cmp(&(other.work as u128 * self.speed as u128))
+    }
+}
+
+/// The bound at the root of the search (no job assigned): the
+/// fractional, largest-job and edge-pair bounds. No schedule of `inst`
+/// has a smaller makespan.
+pub fn root_lower_bound(inst: &Instance) -> Frac {
+    let order: Vec<u32> = (0..inst.num_jobs() as u32).collect();
+    IncrementalBounds::new(inst, &order).lower_bound(&vec![0; inst.num_machines()], 0)
+}
 
 /// Incrementally maintained state: conflict masks, per-machine job sets,
 /// per-machine forbidden remaining work, and the static suffix tables.
@@ -56,7 +119,7 @@ pub struct IncrementalBounds {
     /// machine `i`'s current contents (can never run on `i`).
     forbidden: Vec<u64>,
     /// Static root bound: the best edge-pair bound over all edges.
-    root_bound: Rat,
+    root_bound: Frac,
 }
 
 impl IncrementalBounds {
@@ -92,7 +155,7 @@ impl IncrementalBounds {
         // Edge-pair bound: two adjacent jobs occupy two distinct machines,
         // at best the two fastest. For `R` the per-job min-row maximum
         // (the `suffix_max` bound at the root) already dominates it.
-        let mut root_bound = Rat::ZERO;
+        let mut root_bound = Frac::ZERO;
         if m >= 2 && !matches!(inst.env(), MachineEnvironment::Unrelated { .. }) {
             let mut top2: Vec<u64> = speeds.clone();
             top2.sort_unstable_by(|a, b| b.cmp(a));
@@ -100,7 +163,7 @@ impl IncrementalBounds {
             for u in 0..n as u32 {
                 for &v in graph.neighbors(u) {
                     if v > u {
-                        let b = Rat::new(weight[u as usize] + weight[v as usize], pair_speed);
+                        let b = Frac::new(weight[u as usize] + weight[v as usize], pair_speed);
                         root_bound = root_bound.max(b);
                     }
                 }
@@ -168,27 +231,21 @@ impl IncrementalBounds {
     }
 
     /// The node lower bound at `depth` (jobs `order[..depth]` assigned),
-    /// given the current integer machine loads. Every completion of this
-    /// node has makespan `≥` the returned value.
-    pub fn lower_bound(&self, loads: &[u64], depth: usize) -> Rat {
+    /// given the current integer machine loads, as the largest of the
+    /// bound terms' `(work, speed)` pairs. Every completion of this node
+    /// has makespan `≥` the returned value.
+    pub fn lower_bound(&self, loads: &[u64], depth: usize) -> Frac {
         let load_sum: u64 = loads.iter().sum();
-        let remaining = self.suffix_sum[depth];
         // Fractional: everything over the aggregate speed.
-        let mut lb = Rat::new((load_sum + remaining).max(1), self.total_speed);
+        let mut lb = Frac::new(load_sum + self.suffix_sum[depth], self.total_speed);
         // Max remaining job, at best on the fastest machine.
-        if self.suffix_max[depth] > 0 {
-            lb = lb.max(Rat::new(self.suffix_max[depth], self.s_max));
-        }
+        lb = lb.max(Frac::new(self.suffix_max[depth], self.s_max));
         // Machine exclusion: work that can never run on machine `i` must
         // fit into the other machines' aggregate speed.
         for ((&load, &speed), &forbidden) in loads.iter().zip(&self.speeds).zip(&self.forbidden) {
             let off_speed = self.total_speed - speed;
-            if off_speed == 0 {
-                continue;
-            }
-            let off_work = load_sum - load + forbidden;
-            if off_work > 0 {
-                lb = lb.max(Rat::new(off_work, off_speed));
+            if off_speed != 0 {
+                lb = lb.max(Frac::new(load_sum - load + forbidden, off_speed));
             }
         }
         lb.max(self.root_bound)
@@ -211,7 +268,7 @@ mod tests {
         let b = IncrementalBounds::new(&inst, &order(3));
         let lb = b.lower_bound(&[0, 0], 0);
         // Fractional: 16/4 = 4; max job on fastest: 8/3 < 4.
-        assert_eq!(lb, Rat::integer(4));
+        assert_eq!(lb, Frac::new(4, 1));
     }
 
     #[test]
@@ -223,7 +280,7 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1)]);
         let inst = Instance::uniform(vec![4, 1, 1], vec![10, 10], g).unwrap();
         let b = IncrementalBounds::new(&inst, &order(2));
-        assert_eq!(b.lower_bound(&[0, 0, 0], 0), Rat::integer(4));
+        assert_eq!(b.lower_bound(&[0, 0, 0], 0), Frac::new(4, 1));
     }
 
     #[test]
@@ -243,11 +300,11 @@ mod tests {
         let lb = b.lower_bound(&[9, 0], 1);
         // Exclusion on machine 0: (0 + 9)/1 = 9 (fractional is 18/2 = 9
         // too here; push one side job to see the separation).
-        assert_eq!(lb, Rat::integer(9));
+        assert_eq!(lb, Frac::new(9, 1));
         b.assign(1, 1);
         let lb = b.lower_bound(&[9, 3], 2);
         // forbidden(0) = 6 (jobs 2, 3); off-load = 3: (3 + 6)/1 = 9.
-        assert_eq!(lb, Rat::integer(9));
+        assert_eq!(lb, Frac::new(9, 1));
         b.unassign(1, 1);
         b.unassign(0, 0);
         // Fully unwound: state is back to the root.

@@ -45,7 +45,14 @@ pub fn rat_to_f64_up(r: &Rat) -> f64 {
 
 /// Converts `r` to an `f64` guaranteed `<=` the exact rational value.
 pub fn rat_to_f64_down(r: &Rat) -> f64 {
-    ((r.num() as f64).next_down() / (r.den() as f64).next_up())
+    fraction_to_f64_down(r.num(), r.den())
+}
+
+/// Converts `num / den` (`den > 0`, not necessarily in lowest terms) to
+/// an `f64` guaranteed `<=` the exact value: the pruning side of the
+/// directed rounding, for bounds kept as unreduced pairs.
+pub fn fraction_to_f64_down(num: u64, den: u64) -> f64 {
+    ((num as f64).next_down() / (den as f64).next_up())
         .next_down()
         .max(0.0)
 }
@@ -128,6 +135,11 @@ mod tests {
             let mid = num as f64 / den as f64;
             assert!(down <= mid && mid <= up, "{num}/{den}: {down} {mid} {up}");
             assert!(down >= 0.0);
+            // The same value as an unreduced pair still rounds down.
+            if let (Some(n3), Some(d3)) = (num.checked_mul(3), den.checked_mul(3)) {
+                let unreduced = fraction_to_f64_down(n3, d3);
+                assert!((0.0..=mid).contains(&unreduced), "{n3}/{d3}: {unreduced}");
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 
 use bisched_exact::{branch_and_bound, branch_and_bound_with, brute_force, BnbLimits};
 use bisched_graph::{gilbert_bipartite, Graph};
-use bisched_model::{Instance, JobSizes, Rat};
+use bisched_model::{Instance, JobSizes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,25 +146,51 @@ fn pruned_search_expands_no_more_nodes_than_the_seed_implementation() {
     }
 }
 
-/// The lab's proven-optimum budget (400k nodes) now closes 20–24-job
-/// cells the seed implementation could not — the coverage flip behind the
-/// re-seeded `BENCH_baseline`.
+/// The lab registry's oracle and dense-conflict cells, rebuilt from their
+/// registry seeds, with the node counts the grid-threshold search needs
+/// at the `race` config's 150k-node budget. The seed implementation
+/// exhausted the lab's 400k-node quality budget on both oracle cells; a
+/// search cutting only once its bound reached the incumbent proved them
+/// in 46,271 and 98,097 nodes and exhausted 150k unproven on all three
+/// dense cells.
 #[test]
-fn lab_budget_proves_the_new_oracle_scenarios() {
-    // `p4-gilbert20-oracle` (seed implementation: 400_000 nodes, incomplete).
-    let mut rng = StdRng::seed_from_u64(134);
-    let g = gilbert_bipartite(10, 10, 0.3, &mut rng);
-    let p = JobSizes::Uniform { lo: 1, hi: 9 }.sample(20, &mut rng);
-    let inst = Instance::identical(4, p, g).unwrap();
-    let out = branch_and_bound(&inst, 400_000);
-    assert!(out.complete, "pruned oracle must close the 20-job P4 cell");
-
-    // `q4-gilbert24-oracle` (seed implementation: 400_000 nodes, incomplete).
+fn race_budget_proves_the_oracle_and_dense_cells_within_pinned_node_ceilings() {
+    fn gilbert_p(seed: u64, half: usize, p_edge: f64, m: usize, lo: u64, hi: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = gilbert_bipartite(half, half, p_edge, &mut rng);
+        let p = JobSizes::Uniform { lo, hi }.sample(2 * half, &mut rng);
+        Instance::identical(m, p, g).unwrap()
+    }
     let mut rng = StdRng::seed_from_u64(141);
     let g = gilbert_bipartite(12, 12, 0.25, &mut rng);
     let p = JobSizes::Uniform { lo: 1, hi: 12 }.sample(24, &mut rng);
-    let inst = Instance::uniform(vec![4, 4, 1, 1], p, g).unwrap();
-    let out = branch_and_bound(&inst, 400_000);
-    assert!(out.complete, "pruned oracle must close the 24-job Q4 cell");
-    assert!(out.optimum.unwrap().makespan > Rat::ZERO);
+    let q4_oracle = Instance::uniform(vec![4, 4, 1, 1], p, g).unwrap();
+    let cells = [
+        ("p4-gilbert20-oracle", gilbert_p(134, 10, 0.3, 4, 1, 9), 1),
+        ("q4-gilbert24-oracle", q4_oracle, 86),
+        (
+            "p4-gilbert36-dense-cp",
+            gilbert_p(64, 18, 0.35, 4, 1, 8),
+            4_683,
+        ),
+        (
+            "p5-gilbert36-dense-cp",
+            gilbert_p(61, 18, 0.40, 5, 2, 9),
+            1_403,
+        ),
+        (
+            "p6-gilbert40-dense-cp",
+            gilbert_p(63, 20, 0.40, 6, 2, 9),
+            433,
+        ),
+    ];
+    for (name, inst, ceiling) in &cells {
+        let out = branch_and_bound(inst, 150_000);
+        assert!(out.complete, "{name}: unproven after {} nodes", out.nodes);
+        assert!(
+            out.nodes <= *ceiling,
+            "{name}: {} nodes, ceiling {ceiling}",
+            out.nodes
+        );
+    }
 }

@@ -367,8 +367,9 @@ fn cp() -> NamedConfig {
 /// The concurrent portfolio race the dense-conflict cells exist for: CP
 /// and branch and bound start together (list order seeds the
 /// single-worker schedule), share an incumbent bound, and the first
-/// proof cancels the other. Budgets match the single-engine configs so
-/// the race's p50 is comparable to the faster member's.
+/// proof cancels the other. Both members prove the dense cells within
+/// these budgets; CP gets there first. Budgets match the single-engine
+/// configs so the race's p50 is comparable to the faster member's.
 fn race() -> NamedConfig {
     NamedConfig {
         name: "race".into(),
@@ -573,16 +574,16 @@ fn quick_suite() -> Suite {
             152,
         ),
         // Dense-conflict cells (mid-density Gilbert, n >= 36 jobs): the
-        // conflict graph is dense enough that plain branch and bound
-        // drowns in half-feasible subtrees and exhausts its node budget
-        // unproven (even at the 2M-node default), while CP's
-        // conflict-domain propagation plus makespan binary search closes
-        // the proof in well under its budget. Maximally dense graphs
-        // (crowns, near-complete Gilbert) do NOT have this property —
-        // they collapse the feasible space and B&B closes them in
-        // milliseconds — so these cells sit deliberately in the
-        // moderate-density hard zone. These are the cells the `cp` and
-        // `race` configs exist for.
+        // conflict graph is dense enough that a branch and bound cutting
+        // only at the incumbent drowned in half-feasible subtrees and
+        // exhausted even the 2M-node default unproven. Cutting on the
+        // makespan grid, it now proves them in 433–4,683 nodes, while
+        // CP's conflict-domain propagation plus makespan binary search
+        // closes each proof in a few hundred decision nodes and wins the
+        // `race` config. Maximally dense graphs (crowns, near-complete
+        // Gilbert) collapse the feasible space and are easy for both, so
+        // these cells sit deliberately in the moderate-density zone.
+        // These are the cells the `cp` and `race` configs exist for.
         sc(
             "p4-gilbert36-dense-cp",
             ModelSpec::P { m: 4 },

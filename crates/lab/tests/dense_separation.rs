@@ -1,23 +1,38 @@
-//! Pins the engine-separation property of the quick suite's
-//! dense-conflict cells: bounded branch and bound exhausts its node
-//! budget unproven, while the CP engine proves optimality well inside
-//! its own (smaller) budget. This is the empirical fact the `cp` and
-//! `race` lab configs — and the Portfolio race itself — exist for; if a
-//! registry edit drifts these cells out of the hard zone, this test
-//! fails rather than the bench gate.
+//! Pins what the quick suite's exact-engine cells prove under the lab's
+//! own budgets.
+//!
+//! The three dense-conflict cells (mid-density Gilbert, 36–40 jobs) are
+//! the cells the `cp` and `race` configs exist for. CP must prove each of
+//! them within the `cp` config's node budget, branch and bound within the
+//! `race` config's, and the two proofs must agree. A registry edit that
+//! drifts a cell out of reach of either budget fails here rather than in
+//! the bench gate.
 
-use bisched_core::{Guarantee, Method, SolverConfig};
-use bisched_lab::suite;
+use bisched_core::{Guarantee, Method, SolveReport};
+use bisched_lab::{suite, NamedConfig, Suite};
 
-/// The race config's B&B budget (see `scenarios.rs`): generous enough
-/// that easy cells close, small enough that the dense cells don't.
-const BNB_RACE_NODES: u64 = 150_000;
-/// The `cp` config's decision-node budget.
-const CP_NODES: u64 = 60_000;
+fn config<'a>(suite: &'a Suite, name: &str) -> &'a NamedConfig {
+    suite
+        .configs
+        .iter()
+        .find(|c| c.name == name)
+        .unwrap_or_else(|| panic!("the quick suite has a `{name}` config"))
+}
+
+fn solve(config: &bisched_core::SolverConfig, inst: &bisched_model::Instance) -> SolveReport {
+    config.clone().build().unwrap().solve(inst).expect("solves")
+}
 
 #[test]
-fn dense_cells_defeat_bounded_bnb_but_cp_proves_them() {
+fn both_engines_prove_the_dense_cells_within_their_lab_budgets() {
     let quick = suite("quick").expect("quick suite exists");
+    // The `cp` config alone, and branch and bound alone under the `race`
+    // config's node budget.
+    let cp = &config(&quick, "cp").config;
+    let bnb = config(&quick, "race")
+        .config
+        .clone()
+        .method(Method::BranchAndBound);
     let dense: Vec<_> = quick
         .scenarios
         .iter()
@@ -30,36 +45,44 @@ fn dense_cells_defeat_bounded_bnb_but_cp_proves_them() {
     );
     for scenario in dense {
         let inst = scenario.build();
-        let bnb = SolverConfig::new()
-            .method(Method::BranchAndBound)
-            .bnb_node_limit(BNB_RACE_NODES)
-            .build()
-            .unwrap()
-            .solve(&inst)
-            .expect("bnb returns an incumbent even when truncated");
-        assert_ne!(
-            bnb.guarantee,
-            Guarantee::Optimal,
-            "{}: bnb was expected to exhaust {BNB_RACE_NODES} nodes unproven",
-            scenario.name
-        );
-        let cp = SolverConfig::new()
-            .method(Method::Cp)
-            .cp_node_limit(CP_NODES)
-            .build()
-            .unwrap()
-            .solve(&inst)
-            .expect("cp solves the dense cells");
+        let by_cp = solve(cp, &inst);
         assert_eq!(
-            cp.guarantee,
+            by_cp.guarantee,
             Guarantee::Optimal,
-            "{}: cp was expected to prove optimality within {CP_NODES} nodes",
-            scenario.name
+            "{}: cp must prove optimality within {} nodes",
+            scenario.name,
+            cp.cp_node_limit
         );
-        assert!(
-            cp.makespan <= bnb.makespan,
-            "{}: cp's proven optimum must not exceed bnb's incumbent",
+        let by_bnb = solve(&bnb, &inst);
+        assert_eq!(
+            by_bnb.guarantee,
+            Guarantee::Optimal,
+            "{}: branch and bound must prove optimality within {} nodes",
+            scenario.name,
+            bnb.bnb_node_limit
+        );
+        assert_eq!(
+            by_cp.makespan, by_bnb.makespan,
+            "{}: the two proofs disagree",
             scenario.name
         );
     }
+}
+
+/// Seeding CP's binary search from the speed-aware root bound closes the
+/// `Q` oracle cell, whose optimum (27/2) meets that bound; the `m·s_max`
+/// start it had before spent the whole 60k-node budget and stopped at 15.
+#[test]
+fn cp_config_proves_the_q4_oracle_cell() {
+    let quick = suite("quick").expect("quick suite exists");
+    let cp = &config(&quick, "cp").config;
+    let scenario = quick
+        .scenarios
+        .iter()
+        .find(|s| s.name == "q4-gilbert24-oracle")
+        .expect("the quick suite has the Q oracle cell");
+    let report = solve(cp, &scenario.build());
+    assert_eq!(report.method, Method::Cp);
+    assert_eq!(report.guarantee, Guarantee::Optimal);
+    assert_eq!(report.makespan, bisched_model::Rat::new(27, 2));
 }
