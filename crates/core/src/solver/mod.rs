@@ -271,11 +271,12 @@ impl Solver {
     /// The `Portfolio` policy: a concurrent race over the members.
     ///
     /// Up to `available_parallelism` workers (the calling thread plus
-    /// scoped spawns) pull member indices off a shared queue; every member runs through [`run_method_ctl`] with one
-    /// shared [`SearchCtl`], so the budgeted engines prune against each
-    /// other's incumbents and the first proven-optimal answer cancels the
-    /// rest (members that have not started yet are recorded as
-    /// zero-wall-time cancelled attempts). Results are reassembled in
+    /// scoped spawns) pull member indices off a shared queue; every
+    /// member runs through [`run_method_ctl`] with one shared
+    /// [`SearchCtl`], so the budgeted engines prune against each other's
+    /// incumbents and the first proven-optimal answer cancels the rest
+    /// (members that have not started yet are recorded as zero-wall-time
+    /// cancelled attempts). Results are reassembled in
     /// member (list) order; returns the outcome plus the race's own wall
     /// time.
     fn solve_race(

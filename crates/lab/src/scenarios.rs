@@ -368,8 +368,9 @@ fn cp() -> NamedConfig {
 /// and branch and bound start together (list order seeds the
 /// single-worker schedule), share an incumbent bound, and the first
 /// proof cancels the other. Both members prove the dense cells within
-/// these budgets; CP gets there first. Budgets match the single-engine
-/// configs so the race's p50 is comparable to the faster member's.
+/// these budgets; CP nearly always gets there first. Budgets match the
+/// single-engine configs so the race's p50 is comparable to the faster
+/// member's.
 fn race() -> NamedConfig {
     NamedConfig {
         name: "race".into(),
@@ -579,10 +580,11 @@ fn quick_suite() -> Suite {
         // exhausted even the 2M-node default unproven. Cutting on the
         // makespan grid, it now proves them in 433–4,683 nodes, while
         // CP's conflict-domain propagation plus makespan binary search
-        // closes each proof in a few hundred decision nodes and wins the
-        // `race` config. Maximally dense graphs (crowns, near-complete
-        // Gilbert) collapse the feasible space and are easy for both, so
-        // these cells sit deliberately in the moderate-density zone.
+        // closes each proof in a few hundred decision nodes and nearly
+        // always wins the `race` config. Maximally dense graphs (crowns,
+        // near-complete Gilbert) collapse the feasible space and are easy
+        // for both, so these cells sit deliberately in the
+        // moderate-density zone.
         // These are the cells the `cp` and `race` configs exist for.
         sc(
             "p4-gilbert36-dense-cp",

@@ -69,9 +69,10 @@ fn both_engines_prove_the_dense_cells_within_their_lab_budgets() {
     }
 }
 
-/// Seeding CP's binary search from the speed-aware root bound closes the
-/// `Q` oracle cell, whose optimum (27/2) meets that bound; the `m·s_max`
-/// start it had before spent the whole 60k-node budget and stopped at 15.
+/// CP's binary search starts from the speed-aware root bound 67/5, which
+/// rounds up in CP's quarter units to the optimum 27/2, so the `cp`
+/// config proves the `Q` oracle cell. Starting from total work over
+/// `m·s_max`, it spent the whole 60k-node budget and stopped at 15.
 #[test]
 fn cp_config_proves_the_q4_oracle_cell() {
     let quick = suite("quick").expect("quick suite exists");
