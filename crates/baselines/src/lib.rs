@@ -11,10 +11,6 @@
 //!   result the paper's Algorithm 1 generalizes to uniform machines).
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod bjw;
 pub mod greedy;
 

@@ -25,7 +25,6 @@
 //!                     [--profile-out <file>]
 //! bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
 //!                         [--quality-threshold <pct>]
-//! bisched_cli analyze [--root <path>] [--self-check]
 //! ```
 //!
 //! `solve` runs the `Solver` engine. `--method` names one engine
@@ -90,13 +89,6 @@
 //! scenario corpus, `run` executes a suite and writes
 //! `BENCH_<suite>.json` plus a Markdown summary, and `compare` is the
 //! perf-regression gate (nonzero exit on regression).
-//!
-//! `analyze` runs the `bisched-analyze` workspace invariant linter
-//! (cache-key completeness, Method coverage, SAFETY comments,
-//! forbid-unsafe wiring, metric/event name registries — see
-//! `crates/analyze/README.md`); `--self-check` proves every lint still
-//! fires against seeded mutations. Nonzero exit on findings, so it can
-//! gate CI directly.
 
 use bisched_core::{EngineOutcome, Guarantee, Method, SolveReport, SolverConfig};
 use bisched_graph::{gilbert_bipartite, is_bipartite, Components};
@@ -119,7 +111,6 @@ fn main() -> ExitCode {
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("lab") => cmd_lab(&args[1..]),
-        Some("analyze") => return cmd_analyze(&args[1..]),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -158,8 +149,7 @@ const USAGE: &str = "usage:
                       [--profile-out <file>]
                       (suites: quick, full, paper-sec4, fptas-scaling, service_scaling)
   bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
-                          [--quality-threshold <pct>]
-  bisched_cli analyze [--root <path>] [--self-check]";
+                          [--quality-threshold <pct>]";
 
 fn parse<T: std::str::FromStr>(s: Option<&String>, what: &str) -> Result<T, String> {
     s.ok_or_else(|| format!("missing {what}\n{USAGE}"))?
@@ -1078,81 +1068,4 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// `analyze` — run the bisched-analyze workspace invariant linter (see
-/// `crates/analyze/README.md` for the lint catalogue). Exit codes: 0
-/// clean, 1 findings or failed self-check, 2 tree not analyzable.
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut self_check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(p) => root = Some(p.into()),
-                None => {
-                    eprintln!("missing --root value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--self-check" => self_check = true,
-            other => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(root) = root.or_else(|| {
-        std::env::current_dir()
-            .ok()
-            .and_then(|d| bisched_analyze::find_workspace_root(&d))
-    }) else {
-        eprintln!("analyze: no workspace root found (pass --root)");
-        return ExitCode::from(2);
-    };
-
-    if self_check {
-        return match bisched_analyze::self_check(&root) {
-            Ok(results) => {
-                let mut failed = false;
-                for r in &results {
-                    let mark = if r.caught { "caught" } else { "MISSED" };
-                    println!("self-check [{mark}] {}", r.mutation);
-                    failed |= !r.caught;
-                }
-                if failed {
-                    eprintln!("analyze: self-check FAILED — a lint has gone blind");
-                    ExitCode::FAILURE
-                } else {
-                    println!(
-                        "analyze: self-check ok ({} mutations caught)",
-                        results.len()
-                    );
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("analyze: self-check could not run: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    match bisched_analyze::run_all(&bisched_analyze::Sources::new(&root)) {
-        Ok(findings) if findings.is_empty() => {
-            println!("analyze: workspace clean");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            eprintln!("analyze: {} finding(s)", findings.len());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("analyze: cannot analyze tree: {e}");
-            ExitCode::from(2)
-        }
-    }
 }

@@ -21,10 +21,6 @@
 //!   batch solving).
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod alg1_sqrt;
 pub mod alg2_random;
 pub mod r2_approx;

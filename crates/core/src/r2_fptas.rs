@@ -30,10 +30,6 @@ pub struct FptasControls {
     /// and Theorem 22 stay valid) and reports the effective `ε`; `false`
     /// fails with a typed [`R2FptasError::StateCap`].
     pub coarsen: bool,
-    /// Expand DP layers in parallel chunks (deterministic merge,
-    /// result-identical; sequential under the vendored rayon). No effect
-    /// on two-machine sweeps, which Algorithm 5 always runs.
-    pub parallel: bool,
 }
 
 /// A successful Algorithm 5 run with the DP-core observability attached.
@@ -96,8 +92,8 @@ pub fn r2_fptas(inst: &Instance, eps: f64) -> Result<Schedule, OracleError> {
 }
 
 /// Algorithm 5 with the DP-core knobs exposed: optional state cap (with
-/// graceful `ε`-coarsening), parallel expansion, and the expanded /
-/// pruned / peak-width counters in the report.
+/// graceful `ε`-coarsening) and the expanded / pruned / peak-width
+/// counters in the report.
 pub fn r2_fptas_with(
     inst: &Instance,
     eps: f64,
@@ -139,7 +135,6 @@ pub fn r2_fptas_with(
     // dominate the (1+ε)·OPT ≤ 2T of a correct placement.
     let mut params = FptasParams::new(eps);
     params.state_cap = controls.state_cap;
-    params.parallel = controls.parallel;
     params.on_cap = if controls.coarsen {
         CapRelief::Coarsen { max_eps: 1.0 }
     } else {
@@ -277,7 +272,6 @@ mod tests {
         let capped = FptasControls {
             state_cap: Some(cap),
             coarsen: true,
-            parallel: false,
         };
         let r = r2_fptas_with(&inst, 0.02, &capped).expect("coarsening relieves the cap");
         assert!(r.eps_effective > 0.02);
@@ -295,7 +289,6 @@ mod tests {
         let controls = FptasControls {
             state_cap: Some(2),
             coarsen: false,
-            parallel: false,
         };
         match r2_fptas_with(&inst, 0.02, &controls) {
             Err(R2FptasError::StateCap(e)) => {
@@ -361,26 +354,5 @@ mod tests {
                 assert!(ratio <= 1.0 + eps + 1e-9, "ε={eps}: ratio {ratio} (n={n})");
             }
         }
-    }
-
-    #[test]
-    fn parallel_controls_match_sequential() {
-        let inst = wide_instance(20, 79);
-        let seq = r2_fptas_with(&inst, 0.1, &FptasControls::default()).unwrap();
-        let par = r2_fptas_with(
-            &inst,
-            0.1,
-            &FptasControls {
-                parallel: true,
-                ..FptasControls::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            seq.schedule.assignment(),
-            par.schedule.assignment(),
-            "parallel expansion must be result-identical"
-        );
-        assert_eq!(seq.peak_states, par.peak_states);
     }
 }

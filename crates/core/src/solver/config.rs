@@ -72,13 +72,6 @@ pub struct SolverConfig {
     /// a typed state-cap error recorded in the solve attempts. `None`
     /// (the default) leaves the width unbounded.
     pub fptas_state_cap: Option<usize>,
-    /// Expand FPTAS DP layers in parallel chunks over rayon with a
-    /// deterministic merge. Result-identical to the sequential sweep
-    /// (and sequential in effect under the vendored rayon stand-in), so
-    /// it does not participate in the service's cache key. It has no
-    /// effect on two-machine sweeps, and every solver path into the DP
-    /// (Algorithm 5) is one.
-    pub fptas_parallel: bool,
     /// Deterministic seed for randomized engines, echoed in
     /// [`SolveReport::seed`](crate::SolveReport::seed). The paper's
     /// engines draw no randomness at solve time (Algorithm 2's
@@ -99,7 +92,6 @@ impl Default for SolverConfig {
             cp_node_limit: DEFAULT_CP_NODE_LIMIT,
             race_deadline: None,
             fptas_state_cap: None,
-            fptas_parallel: false,
             auto_exact_jobs: DEFAULT_AUTO_EXACT_JOBS,
             seed: 0,
             policy: MethodPolicy::Auto,
@@ -161,13 +153,6 @@ impl SolverConfig {
     /// [`SolverConfig::fptas_state_cap`].
     pub fn fptas_state_cap(mut self, cap: Option<usize>) -> Self {
         self.fptas_state_cap = cap;
-        self
-    }
-
-    /// Toggles parallel (deterministically merged) FPTAS layer expansion;
-    /// see [`SolverConfig::fptas_parallel`].
-    pub fn fptas_parallel(mut self, parallel: bool) -> Self {
-        self.fptas_parallel = parallel;
         self
     }
 

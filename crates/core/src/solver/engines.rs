@@ -288,7 +288,6 @@ pub(super) fn run_method_ctl(
                 // Algorithm 5 regime); only an unsatisfiable cap fails,
                 // typed, into the attempt record.
                 coarsen: true,
-                parallel: config.fptas_parallel,
             };
             let report =
                 r2_fptas_with(inst, config.eps, &controls).map_err(|e| Failed(e.to_string()))?;

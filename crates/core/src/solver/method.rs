@@ -1,6 +1,8 @@
 //! The engine catalogue: every solving routine in the workspace,
 //! addressable through one enum.
 
+use bisched_obs::names::{self, EventName};
+
 /// A concrete solving engine the [`Solver`](crate::Solver) can run.
 ///
 /// Every engine of the workspace is addressable here — including the exact
@@ -82,6 +84,24 @@ impl Method {
         }
     }
 
+    /// The registered event name of the engine's race-member span: its
+    /// wire name, so traces and profiles show the same frame names.
+    pub(crate) fn event_name(&self) -> EventName {
+        match self {
+            Method::ExactQ2 => names::EXACT_Q2,
+            Method::ExactR2 => names::EXACT_R2,
+            Method::BranchAndBound => names::BRANCH_AND_BOUND,
+            Method::Cp => names::CP,
+            Method::Alg1 => names::ALG1,
+            Method::Alg2 => names::ALG2,
+            Method::Bjw => names::BJW,
+            Method::R2Fptas => names::FPTAS,
+            Method::R2TwoApprox => names::TWOAPPROX,
+            Method::GreedyLpt => names::GREEDY_LPT,
+            Method::GreedyR => names::GREEDY,
+        }
+    }
+
     /// Paper provenance of the engine, for reports and docs.
     pub fn citation(&self) -> &'static str {
         match self {
@@ -156,5 +176,34 @@ mod tests {
             assert_eq!(m.name().parse::<Method>().unwrap(), m);
         }
         assert!("no-such-engine".parse::<Method>().is_err());
+    }
+
+    #[test]
+    fn all_lists_every_variant_exactly_once() {
+        // Exhaustive: a new variant does not compile here until it is
+        // given its index in `ALL`, which the loop then checks.
+        let index = |m: Method| match m {
+            Method::ExactQ2 => 0,
+            Method::ExactR2 => 1,
+            Method::BranchAndBound => 2,
+            Method::Cp => 3,
+            Method::Alg1 => 4,
+            Method::Alg2 => 5,
+            Method::Bjw => 6,
+            Method::R2Fptas => 7,
+            Method::R2TwoApprox => 8,
+            Method::GreedyLpt => 9,
+            Method::GreedyR => 10,
+        };
+        for (i, m) in Method::ALL.into_iter().enumerate() {
+            assert_eq!(index(m), i, "{m} is not at its index in Method::ALL");
+        }
+    }
+
+    #[test]
+    fn event_names_are_the_wire_names() {
+        for m in Method::ALL {
+            assert_eq!(m.event_name().as_str(), m.name());
+        }
     }
 }

@@ -73,6 +73,7 @@ use bisched_exact::SearchCtl;
 use bisched_model::{
     capacity_lower_bound, unrelated_lower_bound, Instance, MachineEnvironment, Rat,
 };
+use bisched_obs::names;
 use rayon::prelude::*;
 
 use engines::{run_method, run_method_ctl, EngineFailure, EngineSolution};
@@ -161,7 +162,8 @@ impl Solver {
 
     /// Solves one instance under the configured policy.
     pub fn solve(&self, inst: &Instance) -> Result<SolveReport, SolveError> {
-        let _solve_span = bisched_obs::span_arg("solve", "core", "jobs", inst.num_jobs() as u64);
+        let _solve_span =
+            bisched_obs::span_arg(names::SOLVE, "core", "jobs", inst.num_jobs() as u64);
         let t0 = Instant::now();
         if !bisched_graph::is_bipartite(inst.graph()) {
             return Err(SolveError::NotBipartite);
@@ -286,8 +288,12 @@ impl Solver {
         attempts: &mut Vec<EngineRun>,
     ) -> (Result<(EngineSolution, Method), SolveError>, Duration) {
         let t0 = Instant::now();
-        let race_span =
-            bisched_obs::span_arg("portfolio_race", "race", "members", methods.len() as u64);
+        let race_span = bisched_obs::span_arg(
+            names::PORTFOLIO_RACE,
+            "race",
+            "members",
+            methods.len() as u64,
+        );
         let ctl = SearchCtl::new();
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, EngineRun, Option<EngineSolution>)>> =
@@ -394,7 +400,7 @@ impl Solver {
         race_start: Instant,
     ) -> (EngineRun, Option<EngineSolution>) {
         if ctl.cancelled() {
-            bisched_obs::instant("race_member_skipped", "race", "member", method as u64);
+            bisched_obs::instant(names::RACE_MEMBER_SKIPPED, "race", "member", method as u64);
             return (
                 EngineRun {
                     method,
@@ -413,7 +419,8 @@ impl Solver {
             .config
             .race_deadline
             .map(|d| d.saturating_sub(race_start.elapsed()));
-        let mut member_span = bisched_obs::span_arg(method.name(), "race", "member", method as u64);
+        let mut member_span =
+            bisched_obs::span_arg(method.event_name(), "race", "member", method as u64);
         let t0 = Instant::now();
         let result = run_method_ctl(&self.config, inst, method, Some(ctl), cap);
         let wall_time = t0.elapsed();
@@ -421,14 +428,14 @@ impl Solver {
             Ok(sol) => {
                 ctl.publish_makespan(&sol.makespan);
                 bisched_obs::instant(
-                    "race_publish",
+                    names::RACE_PUBLISH,
                     "race",
                     "makespan_floor",
                     sol.makespan.floor(),
                 );
                 if sol.guarantee == Guarantee::Optimal {
                     ctl.cancel();
-                    bisched_obs::instant("race_cancel", "race", "winner", method as u64);
+                    bisched_obs::instant(names::RACE_CANCEL, "race", "winner", method as u64);
                 }
                 if sol.cancelled {
                     member_span.set_arg("cancelled_mid_run", 1);

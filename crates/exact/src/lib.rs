@@ -21,10 +21,6 @@
 //!   for portfolio races.
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod bitset;
 pub mod branch_bound;
 pub mod bruteforce;

@@ -31,8 +31,8 @@
 use bisched_model::Rat;
 // The concurrency facade: std atomics in normal builds, the
 // model-checked shims under `--cfg bisched_model` (the race-control
-// protocol here is explored exhaustively by crates/analyze's
-// `model_search_ctl` suite).
+// protocol here is explored exhaustively by the `model_search_ctl`
+// suite in tests/).
 use bisched_obs::sync::{AtomicBool, AtomicU64, Ordering};
 
 /// Converts `r` to an `f64` guaranteed `>=` the exact rational value.

@@ -144,7 +144,7 @@ fn run_member(
             // the soundness argument in bisched_exact::search_ctl).
             continue;
         }
-        if best.map_or(true, |b| c < b) {
+        if best.is_none_or(|b| c < b) {
             best = Some(c);
         }
     }

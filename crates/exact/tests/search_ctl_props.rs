@@ -1,6 +1,6 @@
 //! Property tests for the `SearchCtl` publish/prune round-trip — the
 //! float-encoded bound exchange whose interleavings the
-//! `cfg(bisched_model)` suite in `crates/analyze` explores; here the
+//! `cfg(bisched_model)` suite `model_search_ctl.rs` explores; here the
 //! *numeric* soundness is hammered over random rationals, including the
 //! negative-zero and `INFINITY` edges of the `f64`-bits encoding.
 //!

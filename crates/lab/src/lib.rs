@@ -38,10 +38,6 @@
 //! ```
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub mod compare;
 pub mod quality;
 pub mod report;

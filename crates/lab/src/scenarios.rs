@@ -655,8 +655,10 @@ fn quick_suite() -> Suite {
 /// The FPTAS scaling grid: ε × n × m over the corpus's graph families.
 /// The `n` axis runs through `R2` cells of growing job counts (each lands
 /// on Algorithm 5's DP directly); the `m` axis through `Q` cells whose
-/// Algorithm 1 route calls the same DP under more machines. Paired with
-/// the `fptas_scaling` criterion bench; `lab compare` gates regressions.
+/// Algorithm 1 route reaches the same DP through step S1, which projects
+/// onto the two fastest machines, so every call into the DP still has two
+/// machines. Paired with the `fptas_scaling` criterion bench; `lab
+/// compare` gates regressions.
 fn fptas_scaling_suite() -> Suite {
     let jobcorr = UnrelatedFamily::JobCorrelated {
         base: (1_000, 100_000),

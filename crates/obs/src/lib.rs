@@ -11,11 +11,13 @@
 //! ## Life cycle
 //!
 //! ```
+//! use bisched_obs::names;
+//!
 //! bisched_obs::start_recording(4096);          // capacity per thread
 //! {
-//!     let _s = bisched_obs::span("solve", "engine");
-//!     bisched_obs::instant("incumbent", "bnb", "makespan", 17);
-//!     bisched_obs::counter("layer_width", "fptas", 123);
+//!     let _s = bisched_obs::span(names::SOLVE, "core");
+//!     bisched_obs::instant(names::BNB_INCUMBENT, "bnb", "makespan_floor", 17);
+//!     bisched_obs::counter(names::FPTAS_LAYER_WIDTH, "fptas", 123);
 //! }
 //! let trace = bisched_obs::stop_recording();
 //! assert_eq!(trace.dropped, 0);
@@ -43,7 +45,8 @@
 //!   stale thread-local rings from a previous recording are ignored.
 //!
 //! Event payloads are deliberately `Copy` and `&'static str`-keyed: no
-//! formatting, hashing, or allocation happens at emission time.
+//! formatting, hashing, or allocation happens at emission time. Event
+//! names come from the closed registry in [`names`].
 
 #![warn(missing_docs)]
 
@@ -60,6 +63,7 @@ mod trace;
 pub use profile::{Profile, ProfileRow};
 pub use trace::{Trace, TraceEvent};
 
+use names::EventName;
 use ring::{Event, Ring};
 use std::cell::RefCell;
 // The recorder's process-global control plane (enable flag, generation,
@@ -175,7 +179,7 @@ fn emit(ev: Event) {
 
 /// Records a point-in-time marker with one integer payload.
 #[inline]
-pub fn instant(name: &'static str, cat: &'static str, arg_name: &'static str, arg: u64) {
+pub fn instant(name: EventName, cat: &'static str, arg_name: &'static str, arg: u64) {
     if !enabled() {
         return;
     }
@@ -183,7 +187,7 @@ pub fn instant(name: &'static str, cat: &'static str, arg_name: &'static str, ar
         ts_us: now_us(),
         dur_us: 0,
         kind: EventKind::Instant,
-        name,
+        name: name.0,
         cat,
         arg_name,
         arg,
@@ -192,7 +196,7 @@ pub fn instant(name: &'static str, cat: &'static str, arg_name: &'static str, ar
 
 /// Records a counter sample (`value` plotted over time under `name`).
 #[inline]
-pub fn counter(name: &'static str, cat: &'static str, value: u64) {
+pub fn counter(name: EventName, cat: &'static str, value: u64) {
     if !enabled() {
         return;
     }
@@ -200,7 +204,7 @@ pub fn counter(name: &'static str, cat: &'static str, value: u64) {
         ts_us: now_us(),
         dur_us: 0,
         kind: EventKind::Counter,
-        name,
+        name: name.0,
         cat,
         arg_name: "value",
         arg: value,
@@ -211,22 +215,17 @@ pub fn counter(name: &'static str, cat: &'static str, value: u64) {
 /// when dropped. Inert — a no-op holding no timestamp — when recording
 /// is off at open time.
 #[inline]
-pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
+pub fn span(name: EventName, cat: &'static str) -> SpanGuard {
     span_arg(name, cat, "", 0)
 }
 
 /// [`span`] with one integer payload attached to the completed event.
 #[inline]
-pub fn span_arg(
-    name: &'static str,
-    cat: &'static str,
-    arg_name: &'static str,
-    arg: u64,
-) -> SpanGuard {
+pub fn span_arg(name: EventName, cat: &'static str, arg_name: &'static str, arg: u64) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
             start_us: 0,
-            name,
+            name: name.0,
             cat,
             arg_name,
             arg,
@@ -235,7 +234,7 @@ pub fn span_arg(
     }
     SpanGuard {
         start_us: now_us(),
-        name,
+        name: name.0,
         cat,
         arg_name,
         arg,
@@ -296,9 +295,9 @@ mod tests {
     fn disabled_recorder_emits_nothing() {
         let _g = TEST_LOCK.lock().unwrap();
         assert!(!enabled());
-        instant("x", "test", "v", 1);
-        counter("c", "test", 2);
-        drop(span("s", "test"));
+        instant(EventName("x"), "test", "v", 1);
+        counter(EventName("c"), "test", 2);
+        drop(span(EventName("s"), "test"));
         let trace = {
             start_recording(16);
             stop_recording()
@@ -312,10 +311,10 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         start_recording(64);
         {
-            let mut s = span("outer", "test");
+            let mut s = span(EventName("outer"), "test");
             s.set_arg("answer", 42);
-            instant("mark", "test", "k", 7);
-            counter("width", "test", 9);
+            instant(EventName("mark"), "test", "k", 7);
+            counter(EventName("width"), "test", 9);
         }
         let trace = stop_recording();
         assert_eq!(trace.dropped, 0);
@@ -337,7 +336,7 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         start_recording(8);
         for i in 0..20 {
-            instant("e", "test", "i", i);
+            instant(EventName("e"), "test", "i", i);
         }
         let trace = stop_recording();
         assert_eq!(trace.events.len(), 8);
@@ -348,10 +347,10 @@ mod tests {
     fn restart_discards_previous_generation() {
         let _g = TEST_LOCK.lock().unwrap();
         start_recording(16);
-        instant("old", "test", "", 0);
+        instant(EventName("old"), "test", "", 0);
         // No stop: a fresh start must still leave the old event behind.
         start_recording(16);
-        instant("new", "test", "", 0);
+        instant(EventName("new"), "test", "", 0);
         let trace = stop_recording();
         assert_eq!(trace.events.len(), 1);
         assert_eq!(trace.events[0].name, "new");

@@ -34,7 +34,7 @@
 //! and the `Relaxed`-publish mutation suites pin that it does.
 //!
 //! Assumptions the checker makes of a model (all hold for the suites in
-//! this repo, and `crates/analyze/README.md` documents them):
+//! this repo, and `crates/obs/README.md` documents them):
 //!
 //! * the closure is deterministic given the schedule (no wall-clock, no
 //!   ambient randomness);

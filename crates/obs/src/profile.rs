@@ -12,15 +12,17 @@
 //! hottest first).
 //!
 //! ```
+//! use bisched_obs::names;
+//!
 //! bisched_obs::start_recording(1 << 10);
 //! {
-//!     let _outer = bisched_obs::span("solve", "core");
-//!     let _inner = bisched_obs::span("fptas_layer", "fptas");
+//!     let _outer = bisched_obs::span(names::SOLVE, "core");
+//!     let _inner = bisched_obs::span(names::PORTFOLIO_RACE, "race");
 //! }
 //! let trace = bisched_obs::stop_recording();
 //! let profile = bisched_obs::Profile::from_trace(&trace);
 //! let collapsed = profile.to_collapsed();
-//! assert!(collapsed.contains("solve;fptas_layer "));
+//! assert!(collapsed.contains("solve;portfolio_race "));
 //! // Every line obeys the collapsed grammar: name(;name)* <int>
 //! for line in collapsed.lines() {
 //!     let (stack, n) = line.rsplit_once(' ').unwrap();
@@ -36,7 +38,7 @@ use std::collections::BTreeMap;
 pub struct ProfileRow {
     /// Dense id of the thread the stack ran on.
     pub tid: u64,
-    /// The span stack, outermost first (`["solve", "fptas_layer"]`).
+    /// The span stack, outermost first (`["solve", "portfolio_race"]`).
     pub stack: Vec<&'static str>,
     /// How many spans folded into this row.
     pub count: u64,

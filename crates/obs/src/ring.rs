@@ -1,7 +1,7 @@
 //! The flight recorder's per-thread event buffer, ported onto the
 //! [`crate::sync`] facade so the `bisched_model` build can exhaustively
 //! model-check its publish protocol (see `crates/obs/tests/model_ring.rs`
-//! and `crates/analyze/README.md`).
+//! and `crates/obs/README.md`).
 //!
 //! The module is `#[doc(hidden)]` public: the supported API is the
 //! recorder front end in the crate root; this surface exists for the

@@ -24,7 +24,7 @@
 //! [`UnsafeCell::with_mut`] closures so the model build can observe the
 //! access; in normal builds both compile to a bare `.get()` dereference.
 //!
-//! See `crates/analyze/README.md` for the checker's scope and limits.
+//! See `crates/obs/README.md` for the checker's scope and limits.
 
 pub use std::sync::atomic::Ordering;
 

@@ -20,6 +20,10 @@ use bisched_obs::ring::{Event, Ring};
 use bisched_obs::sync::{AtomicU64, Mutex, Ordering};
 use std::sync::Arc;
 
+/// The recorder's ring registry: each ring with the generation it was
+/// minted under.
+type Registry = Arc<Mutex<Vec<(u64, Arc<Ring>)>>>;
+
 /// Concurrent drains must observe a consistent prefix: every event
 /// below the published length is fully written (probe pattern intact)
 /// and in push order.
@@ -85,7 +89,7 @@ fn ring_dropped_accounting_exact_under_contention() {
 fn stale_generation_drains_empty() {
     let report = model::check("ring_generation", Options::default(), || {
         let generation = Arc::new(AtomicU64::new(1));
-        let registry: Arc<Mutex<Vec<(u64, Arc<Ring>)>>> = Arc::new(Mutex::new(Vec::new()));
+        let registry: Registry = Arc::new(Mutex::new(Vec::new()));
 
         // An emitting thread whose thread-local ring was minted under
         // generation 1.

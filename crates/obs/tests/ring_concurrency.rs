@@ -2,6 +2,7 @@
 //! threads emit into their own rings; the merged stream must be
 //! timestamp-ordered, lossless below capacity, and drop-exact above it.
 
+use bisched_obs::names;
 use std::sync::{Barrier, Mutex};
 
 /// The recorder is process-global, so the tests in this file serialize.
@@ -20,7 +21,7 @@ fn emit_from_threads(events_per_thread: u64) {
                 for i in 0..events_per_thread {
                     // Payload encodes (thread, sequence) so the merge
                     // can be audited event by event.
-                    bisched_obs::instant("ev", "test", "seq", t * 1_000_000 + i);
+                    bisched_obs::instant(names::JOB_DONE, "test", "seq", t * 1_000_000 + i);
                 }
             });
         }
@@ -108,8 +109,8 @@ fn concurrent_emission_with_spans_keeps_nesting_sane() {
         for _ in 0..4 {
             scope.spawn(|| {
                 for i in 0..50u64 {
-                    let _s = bisched_obs::span_arg("work", "test", "i", i);
-                    bisched_obs::instant("inner", "test", "i", i);
+                    let _s = bisched_obs::span_arg(names::BATCH, "test", "i", i);
+                    bisched_obs::instant(names::JOB_DONE, "test", "i", i);
                 }
             });
         }

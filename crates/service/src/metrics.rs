@@ -99,12 +99,12 @@ impl LatencyHist {
 }
 
 /// The single declared registry of every Prometheus series name the
-/// service exposes. [`Metrics::prometheus`] draws exclusively from this
+/// service exposes. [`prometheus_sharded`] draws exclusively from this
 /// list (histogram names additionally emit the standard `_bucket`,
-/// `_sum`, and `_count` sub-series), and the `bisched-analyze`
-/// `metric-registry` lint fails the build when a `bisched_*` name
-/// appears in the source without being declared here — add the name and
-/// its emission together.
+/// `_sum`, and `_count` sub-series). The test
+/// `prometheus_exposition_is_well_formed` checks both directions: every
+/// name here is emitted, and every emitted series is declared here — add
+/// the name and its emission together.
 pub const METRIC_NAMES: &[&str] = &[
     "bisched_requests_total",
     "bisched_solved_total",
@@ -215,28 +215,6 @@ impl Metrics {
     /// attempts (counted separately from wins and losses).
     pub fn record_cancelled(&self, method: Method) {
         *self.cancelled.lock().unwrap().entry(method).or_insert(0) += 1;
-    }
-
-    /// Snapshot of everything, merged with the cache's counters, as the
-    /// `stats` verb's payload (the one-shard view of
-    /// [`snapshot_sharded`]).
-    pub fn snapshot(&self, cache: crate::cache::CacheCounters, cache_len: usize) -> StatsData {
-        snapshot_sharded(&[ShardView {
-            metrics: self,
-            cache,
-            cache_len,
-        }])
-    }
-
-    /// Renders everything as Prometheus text exposition (version 0.0.4):
-    /// the `metrics` verb's payload (the one-shard view of
-    /// [`prometheus_sharded`]).
-    pub fn prometheus(&self, cache: crate::cache::CacheCounters, cache_len: usize) -> String {
-        prometheus_sharded(&[ShardView {
-            metrics: self,
-            cache,
-            cache_len,
-        }])
     }
 }
 
@@ -677,15 +655,16 @@ mod tests {
         m.record_win(Method::Alg1);
         m.record_win(Method::Alg1);
         m.record_latency(500);
-        let s = m.snapshot(
-            crate::cache::CacheCounters {
+        let s = snapshot_sharded(&[ShardView {
+            metrics: &m,
+            cache: crate::cache::CacheCounters {
                 hits: 3,
                 misses: 1,
                 evictions: 0,
                 insertions: 1,
             },
-            1,
-        );
+            cache_len: 1,
+        }]);
         assert_eq!(s.requests, 5);
         assert_eq!(s.cache_hits, 3);
         assert!((s.hit_rate - 0.75).abs() < 1e-12);
@@ -700,7 +679,11 @@ mod tests {
         m.record_queue_wait(10); // bucket [8, 16): midpoint ≈ 11 µs
         m.record_solve_time(900); // bucket [512, 1024): midpoint ≈ 724 µs
         m.record_canonicalize(100); // bucket [64, 128): midpoint ≈ 91 µs
-        let s = m.snapshot(crate::cache::CacheCounters::default(), 0);
+        let s = snapshot_sharded(&[ShardView {
+            metrics: &m,
+            cache: crate::cache::CacheCounters::default(),
+            cache_len: 0,
+        }]);
         assert!(s.queue_p50_ms > 0.0 && s.queue_p50_ms < 0.016);
         assert!(s.canon_p50_ms > 0.064 && s.canon_p50_ms < 0.128);
         assert!(s.shards[0].canon_p99_ms > 0.064 && s.shards[0].canon_p99_ms < 0.128);
@@ -723,15 +706,16 @@ mod tests {
         m.record_queue_wait(40);
         m.record_solve_time(650);
         m.record_canonicalize(30);
-        let text = m.prometheus(
-            crate::cache::CacheCounters {
+        let text = prometheus_sharded(&[ShardView {
+            metrics: &m,
+            cache: crate::cache::CacheCounters {
                 hits: 2,
                 misses: 3,
                 evictions: 1,
                 insertions: 3,
             },
-            3,
-        );
+            cache_len: 3,
+        }]);
         assert!(text.contains("# TYPE bisched_requests_total counter"));
         assert!(text.contains("bisched_requests_total 7"));
         assert!(text.contains("bisched_cache_hits_total 2"));
@@ -872,7 +856,11 @@ mod tests {
         m.record_cancelled(Method::BranchAndBound);
         m.record_cancelled(Method::BranchAndBound);
         m.record_cancelled(Method::Cp);
-        let s = m.snapshot(crate::cache::CacheCounters::default(), 0);
+        let s = snapshot_sharded(&[ShardView {
+            metrics: &m,
+            cache: crate::cache::CacheCounters::default(),
+            cache_len: 0,
+        }]);
         // A cancelled attempt is neither a win nor a loss; the win table
         // must be untouched by the cancellations.
         assert_eq!(s.method_wins, vec![("cp".to_string(), 1)]);

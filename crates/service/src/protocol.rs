@@ -369,3 +369,19 @@ pub struct ShardStats {
     #[serde(default)]
     pub canon_p99_ms: f64,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn protocol_doc_names_every_method() {
+        let doc = include_str!("../PROTOCOL.md");
+        for m in Method::ALL {
+            assert!(
+                doc.contains(&format!("`{}`", m.name())),
+                "PROTOCOL.md does not name method `{m}`"
+            );
+        }
+    }
+}

@@ -31,12 +31,13 @@ use crate::worker::{process_batch, spawn_shard_workers, Job, JobReply};
 use bisched_core::SolverConfig;
 use bisched_model::canonical::fnv128;
 use bisched_model::canonicalize;
+use bisched_obs::names;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 // Atomics and mutexes come from the workspace concurrency facade (std
 // passthroughs in normal builds; model-checked shims under `--cfg
 // bisched_model` — the queue/cache handoff is mirrored and explored by
-// crates/analyze's `model_service_handoff` suite). The mpsc channel
+// the `model_service_handoff` suite in tests/). The mpsc channel
 // itself stays `std`: the facade models the protocol *around* it.
 use bisched_obs::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use std::path::PathBuf;
@@ -758,7 +759,7 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
     // produces — here and in the worker — carries it.
     let rid = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let _rid_scope = bisched_obs::log::request_scope(rid);
-    let _request_span = bisched_obs::span_arg("solve_request", "service", "request_id", rid);
+    let _request_span = bisched_obs::span_arg(names::SOLVE_REQUEST, "service", "request_id", rid);
     let id = req.id;
     // Errors before routing (no instance yet, so no fingerprint) are
     // attributed to the connection's fallback shard.
@@ -784,7 +785,7 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         Err(e) => return fail_unrouted(e.to_string()),
     };
     let canon_t0 = Instant::now();
-    let canon_span = bisched_obs::span_arg("canonicalize", "service", "request_id", rid);
+    let canon_span = bisched_obs::span_arg(names::CANONICALIZE, "service", "request_id", rid);
     let mut canonical = canonicalize(&instance);
     drop(canon_span);
     let canon_us = canon_t0.elapsed().as_micros() as u64;
@@ -834,12 +835,12 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
     if !req.no_cache.unwrap_or(false) {
         let hit = shard.cache.lock().unwrap().get(cache_key, &cache_cert);
         if let Some(report) = hit {
-            bisched_obs::instant("cache_hit", "service", "request_id", rid);
+            bisched_obs::instant(names::CACHE_HIT, "service", "request_id", rid);
             return finish_solve(
                 id, rid, &canonical, &report, true, t0, canon_us, None, shard, shard_idx,
             );
         }
-        bisched_obs::instant("cache_miss", "service", "request_id", rid);
+        bisched_obs::instant(names::CACHE_MISS, "service", "request_id", rid);
     }
 
     // Miss. While the shard runs fewer solves than it has workers, solve
@@ -1048,30 +1049,14 @@ fn sorted_to_submitted(sorted: &[u64], submitted: &[u64]) -> Vec<u32> {
         .collect()
 }
 
-/// `SolverConfig` fields deliberately excluded from the cache key, each
-/// with its justification. The `bisched-analyze` `cache-key-fields`
-/// lint reads this table: a config field missing from both
-/// [`config_cache_bytes`] and this list fails the lint, so excluding a
-/// field always costs an explicit written reason.
-// Referenced by the contract test below; the analyzer reads it straight
-// from the source, so the non-test build never touches it.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) const CACHE_KEY_ALLOWLIST: &[(&str, &str)] = &[(
-    "fptas_parallel",
-    "parallel FPTAS expansion is result-identical to the sequential sweep, \
-     so both settings may share cache entries",
-)];
-
 /// Stable byte encoding of everything in a [`SolverConfig`] that can
 /// change a solve's outcome — part of the cache key.
 ///
-/// The exhaustive destructure below is deliberate: adding a field to
-/// `SolverConfig` breaks this build until the field is either encoded
-/// here or added to the `CACHE_KEY_ALLOWLIST` with a justification —
-/// a silent wrong-config cache hit is never an option. The
-/// `bisched-analyze` `cache-key-fields` lint checks the same contract
-/// token-level (it fails when a field name appears in neither the body
-/// nor the allowlist).
+/// The exhaustive destructure below is deliberate: a field added to
+/// `SolverConfig` is a compile error here until it is bound, and under
+/// `deny(unused_variables)` a bound field that is not encoded fails the
+/// build too — a silent wrong-config cache hit is never an option.
+#[deny(unused_variables)]
 fn config_cache_bytes(config: &SolverConfig) -> Vec<u8> {
     use bisched_core::MethodPolicy;
     let SolverConfig {
@@ -1083,14 +1068,9 @@ fn config_cache_bytes(config: &SolverConfig) -> Vec<u8> {
         race_deadline,
         auto_exact_jobs,
         fptas_state_cap,
-        fptas_parallel,
         seed,
         policy,
     } = config;
-    // `fptas_parallel` is deliberately absent from the key: the parallel
-    // expansion is result-identical to the sequential sweep, so both may
-    // share cache entries (see CACHE_KEY_ALLOWLIST).
-    let _ = fptas_parallel;
     let mut out = Vec::new();
     out.extend_from_slice(&eps.to_bits().to_le_bytes());
     out.extend_from_slice(&exact_budget.to_le_bytes());
@@ -1194,54 +1174,6 @@ mod tests {
                 config_cache_bytes(&variant),
                 baseline,
                 "variant {variant:?} must not share a cache key with the default config"
-            );
-        }
-        // The parallel toggle is result-identical by construction and
-        // deliberately shares entries.
-        assert_eq!(
-            config_cache_bytes(&base.clone().fptas_parallel(true)),
-            baseline
-        );
-    }
-
-    /// The cache-key contract: `config_cache_bytes` exhaustively
-    /// destructures `SolverConfig` (a new field is a compile error in
-    /// that function until it is encoded or allowlisted), and every
-    /// allowlisted exclusion both names a real field and genuinely does
-    /// not perturb the key.
-    #[test]
-    fn cache_key_allowlist_matches_reality() {
-        // Mirror destructure: this test stops compiling at the same
-        // moment `config_cache_bytes` does, so the contract cannot rot
-        // silently in a build where tests are skipped.
-        let SolverConfig {
-            eps: _,
-            exact_budget: _,
-            bnb_node_limit: _,
-            bnb_deadline: _,
-            cp_node_limit: _,
-            race_deadline: _,
-            auto_exact_jobs: _,
-            fptas_state_cap: _,
-            fptas_parallel: _,
-            seed: _,
-            policy: _,
-        } = SolverConfig::new();
-
-        assert!(
-            !CACHE_KEY_ALLOWLIST.is_empty(),
-            "allowlist exists to carry justifications; emptying it means \
-             every field is encoded — then delete this assertion too"
-        );
-        for (field, why) in CACHE_KEY_ALLOWLIST {
-            assert!(
-                !why.trim().is_empty(),
-                "allowlisted field `{field}` needs a written justification"
-            );
-            assert_eq!(
-                *field, "fptas_parallel",
-                "new allowlist entry `{field}`: extend this test with a \
-                 key-equality check proving the field really is inert"
             );
         }
     }

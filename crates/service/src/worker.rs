@@ -25,6 +25,7 @@
 use crate::server::Shared;
 use bisched_core::{SolveError, SolveReport, Solver, SolverConfig};
 use bisched_model::Instance;
+use bisched_obs::names;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -135,7 +136,7 @@ fn collect<T>(rx: &Receiver<T>, batch_max: usize) -> Option<Vec<T>> {
 /// call it too, with a batch of one, when they solve a miss themselves.
 pub(crate) fn process_batch(batch: Vec<Job>, shared: &Shared, shard_idx: usize) {
     let shard = &shared.shards[shard_idx];
-    let _batch_span = bisched_obs::span_arg("batch", "service", "jobs", batch.len() as u64);
+    let _batch_span = bisched_obs::span_arg(names::BATCH, "service", "jobs", batch.len() as u64);
     shard.metrics.batches.fetch_add(1, Ordering::Relaxed);
     shard
         .metrics
@@ -201,10 +202,10 @@ pub(crate) fn process_batch(batch: Vec<Job>, shared: &Shared, shard_idx: usize) 
                             Arc::clone(&report),
                         );
                         if cache.counters().evictions > evictions_before {
-                            bisched_obs::instant("cache_evict", "service", "", 0);
+                            bisched_obs::instant(names::CACHE_EVICT, "service", "", 0);
                         }
                     }
-                    bisched_obs::instant("job_done", "service", "request_id", job.request_id);
+                    bisched_obs::instant(names::JOB_DONE, "service", "request_id", job.request_id);
                     let _ = job.reply.send(JobReply::Solved {
                         report,
                         queue_us,

@@ -184,7 +184,7 @@ fn bounded_queue_busy_accounting_is_exact() {
 
 /// Mirror of the sharded front end: one global `shutting_down` flag,
 /// one `Mutex<Chan>` per shard (the per-shard `Mutex<Option<SyncSender>>`
-/// + bounded channel in `server.rs`); `Service::begin_shutdown` swaps
+/// and bounded channel in `server.rs`); `Service::begin_shutdown` swaps
 /// the flag once, then closes every shard's queue in index order.
 struct ShardedHandoff {
     shutting_down: AtomicBool,

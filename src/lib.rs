@@ -105,7 +105,7 @@
 //! kill hopeless states, and only compact backpointers are retained per
 //! layer. The solver always reaches it with two machines, where each
 //! layer is one sorted merge of its parent's two child lists with the
-//! Pareto-dominance rule applied inline. Three knobs steer it:
+//! Pareto-dominance rule applied inline. Two knobs steer it:
 //!
 //! * [`SolverConfig::eps`](core::SolverConfig) (CLI `--eps`) — the
 //!   accuracy `ε ∈ (0, 1]` of the `(1+ε)` guarantee (Theorem 22);
@@ -115,12 +115,7 @@
 //!   (doubling, never past Algorithm 5's `ε = 1` regime ceiling) and the
 //!   reported guarantee carries the **effective** `ε`; an unsatisfiable
 //!   cap fails with a typed state-cap error, visible in
-//!   [`SolveReport::attempts`](core::SolveReport);
-//! * [`SolverConfig::fptas_parallel`](core::SolverConfig) — chunked
-//!   parallel layer expansion with a deterministic merge,
-//!   result-identical to the sequential sweep (and excluded from the
-//!   service's cache key for exactly that reason). It has no effect on
-//!   two-machine sweeps, which means on every solver path.
+//!   [`SolveReport::attempts`](core::SolveReport).
 //!
 //! ```
 //! use bisched::prelude::*;
@@ -348,19 +343,6 @@
 //!
 //! ## Auditing the concurrency
 //!
-//! The workspace's cross-file contracts and lock-free protocols are
-//! machine-checked, not just documented. `bisched-analyze` is a
-//! dependency-free token-level linter over five invariants — cache-key
-//! coverage of `SolverConfig`, `Method` wire-name/dispatch/label
-//! coverage, `SAFETY:` comments on every `unsafe`,
-//! `#![forbid(unsafe_code)]` everywhere outside a two-crate allowlist,
-//! and a closed registry of metric and trace-event names:
-//!
-//! ```text
-//! cargo run -p bisched-analyze            # lint; nonzero exit on drift
-//! bisched_cli analyze --self-check        # 6 seeded mutations must be caught
-//! ```
-//!
 //! The lock-free pieces — the flight recorder's ring, the portfolio
 //! race's [`SearchCtl`](exact::SearchCtl) bound exchange, the service's
 //! shutdown/queue handoff — are explored interleaving-by-interleaving
@@ -368,14 +350,15 @@
 //! cfg so production builds pay nothing:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg bisched_model" cargo test -p bisched-obs -p bisched-analyze
+//! RUSTFLAGS="--cfg bisched_model" cargo test -p bisched-obs -p bisched-exact -p bisched-service
 //! ```
 //!
 //! Each suite asserts its exploration completed (no budget cut) and
 //! carries a seeded-bug mutation test proving the checker still bites;
 //! CI additionally runs the real-thread ring tests under Miri. See
-//! `crates/analyze/README.md` for the lint catalogue and the checker's
-//! scope and limits.
+//! `crates/obs/README.md` for the checker's scope and limits. Unsafe
+//! code is a compile error outside `bisched-obs` and `bisched-bench`
+//! (`unsafe_code = "forbid"` in the workspace lints).
 //!
 //! ## Guarantees and where they come from
 //!
@@ -424,10 +407,6 @@
 //!   Prometheus metrics.
 
 #![warn(missing_docs)]
-// Unsafe code is confined to bisched-obs (the model-checked ring)
-// and bisched-bench (a counting allocator); everywhere else it is a
-// hard error. The bisched-analyze forbid-unsafe lint keeps this list.
-#![forbid(unsafe_code)]
 pub use bisched_baselines as baselines;
 pub use bisched_core as core;
 pub use bisched_cp as cp;
