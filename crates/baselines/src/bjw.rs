@@ -19,7 +19,7 @@ use bisched_model::{
 ///
 /// Also accepts uniform speeds (groups are then chosen by aggregate speed
 /// proportional to class weight), which is the natural generalization used
-/// as a comparison point in the E11 experiment.
+/// as a comparison point for Algorithm 1.
 pub fn bjw_two_approx(inst: &Instance) -> Result<Schedule, BaselineError> {
     let m = inst.num_machines();
     if m < 3 {

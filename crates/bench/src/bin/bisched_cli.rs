@@ -21,7 +21,7 @@
 //! bisched_cli trace --addr <host:port> [--shard <i>] [--json]
 //! bisched_cli lab list
 //! bisched_cli lab run --suite <name>[,<name>...] [--out <path>]
-//!                     [--reps <n>] [--warmup <n>] [--seq] [--trace-out <file>]
+//!                     [--reps <n>] [--warmup <n>] [--trace-out <file>]
 //!                     [--profile-out <file>]
 //! bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
 //!                         [--quality-threshold <pct>]
@@ -145,7 +145,7 @@ const USAGE: &str = "usage:
   bisched_cli trace --addr <host:port> [--shard <i>] [--json]
   bisched_cli lab list
   bisched_cli lab run --suite <name>[,<name>...] [--out <path>]
-                      [--reps <n>] [--warmup <n>] [--seq] [--trace-out <file>]
+                      [--reps <n>] [--warmup <n>] [--trace-out <file>]
                       [--profile-out <file>]
                       (suites: quick, full, paper-sec4, fptas-scaling, service_scaling)
   bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
@@ -880,7 +880,6 @@ fn cmd_lab_run(args: &[String]) -> Result<(), String> {
             "--out" => out = Some(parse(it.next(), "--out value")?),
             "--reps" => opts.reps = parse(it.next(), "--reps value")?,
             "--warmup" => opts.warmup = parse(it.next(), "--warmup value")?,
-            "--seq" => opts.parallel = false,
             "--trace-out" => outs.trace = Some(parse(it.next(), "--trace-out value")?),
             "--profile-out" => outs.profile = Some(parse(it.next(), "--profile-out value")?),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),

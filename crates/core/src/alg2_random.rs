@@ -121,7 +121,7 @@ pub fn alg2_random_graph(inst: &Instance) -> Result<Alg2Result, Alg1Error> {
 /// 'balance' the schedule".
 ///
 /// Never worse than Algorithm 2 on isolated-free graphs (identical
-/// output); experiment E12's companion row quantifies the win.
+/// output).
 pub fn alg2_balanced(inst: &Instance) -> Result<Alg2Result, Alg1Error> {
     let base = alg2_random_graph(inst)?;
     let g = inst.graph();
@@ -227,7 +227,8 @@ mod tests {
     #[test]
     fn ratio_to_capacity_bound_reasonable_on_random() {
         // Statistical smoke: over seeds, ratio vs C** should hover <= ~2.5
-        // (the real validation is experiment E7 with matching-aware LBs).
+        // (Theorem 19 itself is gated with matching-aware LBs in
+        // `bisched_random::experiments`).
         let mut rng = StdRng::seed_from_u64(83);
         let mut worst: f64 = 0.0;
         for _ in 0..10 {

@@ -12,8 +12,8 @@
 //! so **YES** ⇒ the color-extension schedule costs ≤ `n`, while **NO** ⇒
 //! any schedule cheaper than `d` would place every job on `M_1..M_3` with
 //! the pins on their own machines — i.e. exhibit a proper extension — so
-//! `C*_max ≥ d`. The instance is small (`n` jobs), which lets experiment
-//! E10 verify the gap *exactly* with the branch-and-bound oracle.
+//! `C*_max ≥ d`. The instance is small (`n` jobs), which lets the tests
+//! verify the gap *exactly* with the branch-and-bound oracle.
 
 use bisched_exact::is_proper_coloring;
 use bisched_graph::{is_bipartite, Graph, Vertex};
@@ -116,33 +116,45 @@ mod tests {
         branch_and_bound, claw_no_instance, path_yes_instance, precoloring_extension, standard_pins,
     };
 
+    /// Stretches `d` from 32 to 2048: the gap must hold for every `p_max`.
+    const STRETCHES: [u64; 4] = [32, 50, 256, 2048];
+
     #[test]
     fn yes_gap_verified_exactly() {
         let (g, pins) = path_yes_instance(2);
         let coloring = precoloring_extension(&g, &standard_pins(&pins), 3).expect("YES");
-        let red = reduce_1prext_to_rm(&g, pins, 50, 3);
-        // Witness is cheap.
-        let s = red.schedule_from_coloring(&coloring);
-        assert!(s.makespan(&red.instance) <= red.yes_bound());
-        // And the exact optimum is at most n.
-        let opt = branch_and_bound(&red.instance, 10_000_000);
-        assert!(opt.complete);
-        assert!(opt.optimum.unwrap().makespan <= red.yes_bound());
+        for d in STRETCHES {
+            let red = reduce_1prext_to_rm(&g, pins, d, 3);
+            // Witness is cheap.
+            let s = red.schedule_from_coloring(&coloring);
+            assert!(s.makespan(&red.instance) <= red.yes_bound());
+            // And the exact optimum is at most n, and decodes to a proper
+            // extension.
+            let opt = branch_and_bound(&red.instance, 10_000_000);
+            assert!(opt.complete);
+            let opt = opt.optimum.unwrap();
+            assert!(opt.makespan <= red.yes_bound(), "d={d}");
+            assert!(red.decodes_to_yes(&opt.schedule, &g), "d={d}");
+        }
     }
 
     #[test]
     fn no_gap_verified_exactly() {
-        let (g, pins) = claw_no_instance(2);
-        assert!(precoloring_extension(&g, &standard_pins(&pins), 3).is_none());
-        let red = reduce_1prext_to_rm(&g, pins, 50, 3);
-        let opt = branch_and_bound(&red.instance, 10_000_000);
-        assert!(opt.complete);
-        let mk = opt.optimum.unwrap().makespan;
-        assert!(
-            mk >= red.no_bound(),
-            "NO instance scheduled below d: {mk} < {}",
-            red.no_bound()
-        );
+        for padding in [2, 4] {
+            let (g, pins) = claw_no_instance(padding);
+            assert!(precoloring_extension(&g, &standard_pins(&pins), 3).is_none());
+            for d in STRETCHES {
+                let red = reduce_1prext_to_rm(&g, pins, d, 3);
+                let opt = branch_and_bound(&red.instance, 10_000_000);
+                assert!(opt.complete);
+                let mk = opt.optimum.unwrap().makespan;
+                assert!(
+                    mk >= red.no_bound(),
+                    "NO instance scheduled below d: {mk} < {}",
+                    red.no_bound()
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! answer for the split. The best feasible split under the true speeds wins.
 //!
 //! `bisched-exact::q2_bipartite_exact` reaches the same optimum through a
-//! direct subset-sum; experiment E4 and the tests cross-check the routes.
+//! direct subset-sum; the tests cross-check the routes.
 
 use bisched_exact::Optimum;
 use bisched_exact::OracleError;

@@ -81,7 +81,8 @@ fn unit_q2_complete_bipartite_all_three() {
 #[test]
 fn precolor_decider_consistent_with_schedule_feasibility() {
     // 1-PrExt YES <=> the Theorem-24-style 3-machine pinning instance has
-    // a schedule under d. (A miniature of E10, as a standing regression.)
+    // a schedule under d. (A miniature of the Theorem 24 gap tests in
+    // `bisched-core`, against the decider here.)
     let mut rng = StdRng::seed_from_u64(311);
     for _ in 0..10 {
         let g = gilbert_bipartite(3, 4, 0.5, &mut rng);

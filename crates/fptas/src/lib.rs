@@ -6,7 +6,7 @@
 //! Theorem 4 (`O(n³)` exact algorithm for `Q2 | G = bipartite, p_j=1`).
 //!
 //! Implemented as a Horowitz–Sahni Pareto sweep with `(1+ε/2n)` log-grid
-//! trimming (see DESIGN.md §2.3 for the substitution rationale). `ε = 0`
+//! trimming (the substitution rationale is in [`rm_cmax`]). `ε = 0`
 //! yields the exact pseudo-polynomial Pareto DP.
 //!
 //! The sweep is the hot path under nearly every `Auto` solve. The solver
@@ -17,7 +17,7 @@
 //! (ties to the smaller machine-0 load), and the Pareto-dominance rule is
 //! applied inline, so [`state_cap`](FptasParams::state_cap) counts the
 //! width after dominance there. Other machine counts, reached through the
-//! public API, the tests and the criterion bench, run the keyed sweep:
+//! public API and the tests, run the keyed sweep:
 //! coordinates pack into one `u128` hashed by an in-crate multiply-xor
 //! hasher, and `m = 3` layers get a Pareto-dominance filter. Both paths
 //! sweep the jobs largest first (row minimum descending; the schedule comes

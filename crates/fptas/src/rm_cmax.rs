@@ -2,11 +2,11 @@
 //!
 //! The paper uses the Jansen–Porkolab FPTAS [15] as a black box inside
 //! Algorithm 5 and Theorem 4. Any `(1+ε)` scheme preserves every claim, so
-//! we implement the classical Horowitz–Sahni approach instead (documented
-//! as a substitution in DESIGN.md): sweep jobs, maintain the set of
-//! reachable machine-load vectors, and *trim* after every job by bucketing
-//! the first `m−1` coordinates on a `(1+δ)` log-grid (δ = ε/2n) while
-//! keeping the exact minimum of the last coordinate per bucket.
+//! we implement the classical Horowitz–Sahni approach instead: sweep jobs,
+//! maintain the set of reachable machine-load vectors, and *trim* after
+//! every job by bucketing the first `m−1` coordinates on a `(1+δ)` log-grid
+//! (δ = ε/2n) while keeping the exact minimum of the last coordinate per
+//! bucket.
 //!
 //! Error analysis: each of the `n` trims perturbs coordinates by at most a
 //! `(1+δ)` factor, so the surviving vector nearest the optimum is within
@@ -21,7 +21,7 @@
 //! Theorem 4 `Q2 | p_j = 1` route call Algorithm 5 too, so every solver
 //! call into the sweep has exactly two machines and takes the merge
 //! below. The public `rm_cmax_*` functions accept any `m`; for `m ≠ 2`
-//! they run the keyed sweep, which the tests and the criterion bench use.
+//! they run the keyed sweep, which the tests use.
 //!
 //! ## The two-machine merge (`m = 2`)
 //!

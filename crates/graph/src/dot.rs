@@ -1,5 +1,5 @@
-//! Graphviz DOT export, used by the Figure 1 experiment binary to render
-//! the gadget components and by debugging sessions generally.
+//! Graphviz DOT export, for rendering the Figure 1 gadget components and
+//! for debugging sessions generally.
 
 use crate::graph::Graph;
 

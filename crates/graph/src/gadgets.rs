@@ -251,20 +251,27 @@ mod tests {
     #[test]
     fn theorem8_vertex_count_formula() {
         // n' = n + 48k^2 n + 4kn + 2 for the six components of Theorem 8
-        // (x = 6k^2 n, x' = kn, x'' = 1).
-        for (n, k) in [(3usize, 1usize), (5, 2), (7, 3)] {
+        // (x = 6k^2 n, x' = kn, x'' = 1), built on three distinct
+        // attachment vertices of an n-vertex graph.
+        for (n, k) in [(3usize, 1usize), (5, 1), (5, 2), (8, 3)] {
             let x = 6 * k * k * n;
             let xp = k * n;
-            let h2 = 2 * (x + xp);
-            let h1 = 2 * x;
-            let h3 = 2 * (1 + xp + 2 * x);
-            assert_eq!(h1 + h2 + h3, 48 * k * k * n + 4 * k * n + 2);
+            let mut b = GraphBuilder::new(n);
+            attach_h2(&mut b, 0, xp, x);
+            attach_h3(&mut b, 0, 1, xp, x);
+            attach_h1(&mut b, 1, x);
+            attach_h3(&mut b, 1, 1, xp, x);
+            attach_h1(&mut b, 2, x);
+            attach_h2(&mut b, 2, xp, x);
+            let g = b.build();
+            assert_eq!(g.num_vertices(), n + 48 * k * k * n + 4 * k * n + 2);
+            assert!(is_bipartite(&g), "n={n}, k={k}");
         }
     }
 
     #[test]
     fn lemma5_exhaustive() {
-        for x in 1..=3 {
+        for x in 1..=4 {
             let (g, v, h) = build_with(|b, v| attach_h1(b, v, x));
             for num_colors in 2..=3u8 {
                 for_all_proper_colorings(&g, num_colors, |colors| {
@@ -279,7 +286,7 @@ mod tests {
 
     #[test]
     fn lemma6_exhaustive() {
-        for (xp, x) in [(1usize, 1usize), (1, 2), (2, 2), (2, 3)] {
+        for (xp, x) in [(1usize, 1usize), (1, 2), (2, 2), (2, 3), (3, 2)] {
             let (g, v, h) = build_with(|b, v| attach_h2(b, v, xp, x));
             for_all_proper_colorings(&g, 3, |colors| {
                 assert!(
@@ -292,7 +299,7 @@ mod tests {
 
     #[test]
     fn lemma7_exhaustive() {
-        for (xpp, xp, x) in [(1usize, 1usize, 1usize), (1, 1, 2), (1, 2, 2)] {
+        for (xpp, xp, x) in [(1usize, 1usize, 1usize), (1, 1, 2), (1, 2, 2), (2, 1, 1)] {
             let (g, v, h) = build_with(|b, v| attach_h3(b, v, xpp, xp, x));
             for_all_proper_colorings(&g, 4, |colors| {
                 assert!(

@@ -17,8 +17,6 @@ pub struct RunOptions {
     pub warmup: usize,
     /// Timed solves per cell.
     pub reps: usize,
-    /// Fan cells out over rayon (`false` = sequential, steadier timings).
-    pub parallel: bool,
     /// Exact-optimum side channel (see [`QualityOptions`]).
     pub quality: QualityOptions,
 }
@@ -28,7 +26,6 @@ impl Default for RunOptions {
         RunOptions {
             warmup: 1,
             reps: 5,
-            parallel: true,
             quality: QualityOptions::default(),
         }
     }
@@ -58,13 +55,8 @@ pub fn run_suite(suite: &Suite, opts: &RunOptions) -> LabReport {
             .map(|config| run_cell(scenario, &inst, optimum.as_ref(), config, opts))
             .collect()
     };
-    let cells: Vec<CellReport> = if opts.parallel {
-        let per_scenario: Vec<Vec<CellReport>> =
-            suite.scenarios.par_iter().map(run_scenario).collect();
-        per_scenario.into_iter().flatten().collect()
-    } else {
-        suite.scenarios.iter().flat_map(run_scenario).collect()
-    };
+    let per_scenario: Vec<Vec<CellReport>> = suite.scenarios.par_iter().map(run_scenario).collect();
+    let cells: Vec<CellReport> = per_scenario.into_iter().flatten().collect();
     let (sec4_graph, sec4_alg2) = match suite.sec4 {
         Some(params) => {
             let (g, a) = run_sec4(params);
@@ -191,8 +183,7 @@ fn run_cell(
 
 /// The Section 4.1 reproduction pass: the statistics table over the
 /// paper's three regimes (plus the constant regime), and the Algorithm 2
-/// ratio table across speed profiles — the lab-suite form of the old
-/// `exp_random_*` runners.
+/// ratio table across speed profiles.
 fn run_sec4(
     params: Sec4Params,
 ) -> (
@@ -252,7 +243,6 @@ mod tests {
         let opts = RunOptions {
             warmup: 0,
             reps: 1,
-            parallel: true,
             quality: QualityOptions {
                 exact_cap_jobs: 0, // skip the exact side channel for speed
                 exact_node_limit: 1,

@@ -657,8 +657,7 @@ fn quick_suite() -> Suite {
 /// on Algorithm 5's DP directly); the `m` axis through `Q` cells whose
 /// Algorithm 1 route reaches the same DP through step S1, which projects
 /// onto the two fastest machines, so every call into the DP still has two
-/// machines. Paired with the `fptas_scaling` criterion bench; `lab
-/// compare` gates regressions.
+/// machines. `lab compare` gates regressions.
 fn fptas_scaling_suite() -> Suite {
     let jobcorr = UnrelatedFamily::JobCorrelated {
         base: (1_000, 100_000),

@@ -1,5 +1,6 @@
 //! Experiment runners for Section 4.1: seed-parallel sweeps producing the
-//! rows printed by the `exp_random_*` binaries (E5–E7 in DESIGN.md).
+//! rows of the lab's `paper-sec4` tables. The tests below hold the paper's
+//! claims to them: Corollary 11, Lemmas 12–14 and Theorem 19.
 
 use crate::stats::{GraphStats, Summary};
 use bisched_core::alg2_random_graph;
@@ -10,7 +11,8 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// One row of the coloring/matching statistics table (E5/E6).
+/// One row of the coloring/matching statistics table (Corollary 11,
+/// Lemmas 12–14).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RandomGraphRow {
     /// Side size `n`.
@@ -71,7 +73,7 @@ pub fn random_graph_statistics(
     }
 }
 
-/// One row of the Algorithm 2 ratio table (E7, Theorem 19).
+/// One row of the Algorithm 2 ratio table (Theorem 19).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Alg2Row {
     /// Side size `n` (the instance has `2n` unit jobs).
@@ -139,34 +141,95 @@ pub fn alg2_ratio_experiment(
 mod tests {
     use super::*;
 
+    /// Every `p(n)` regime Theorem 19 covers, at one representative each.
+    const REGIMES: [EdgeProbability; 5] = [
+        EdgeProbability::SubCritical { exponent: 1.5 },
+        EdgeProbability::Critical { a: 1.0 },
+        EdgeProbability::Critical { a: 4.0 },
+        EdgeProbability::SuperCritical {
+            c: 1.0,
+            exponent: 0.5,
+        },
+        EdgeProbability::Constant { p: 0.1 },
+    ];
+
     #[test]
     fn statistics_row_is_consistent() {
-        let row = random_graph_statistics(64, EdgeProbability::Critical { a: 2.0 }, 8, 1000);
-        assert_eq!(row.seeds, 8);
-        assert!((row.p - 2.0 / 64.0).abs() < 1e-12);
-        assert!(row.minor_fraction_mean >= 0.0 && row.minor_fraction_mean <= 1.0);
-        assert!(row.matching_fraction_mean <= 1.0);
-        // μ/n should not collapse below Lemma 13's bound by much at n=64.
-        assert!(row.matching_fraction_mean >= row.lemma13_bound - 0.15);
+        // Lemmas 12–14 are a.a.s. statements, so finite n gets the slack
+        // named per check.
+        for a in [0.5, 1.0, 2.0, 4.0, 8.0] {
+            for n in [256usize, 1024] {
+                let row = random_graph_statistics(n, EdgeProbability::Critical { a }, 8, 13);
+                assert_eq!(row.seeds, 8);
+                assert!((row.p - a / n as f64).abs() < 1e-12);
+                assert!(row.minor_fraction_mean >= 0.0 && row.minor_fraction_mean <= 1.0);
+                assert!(row.matching_fraction_mean <= 1.0);
+                let root = 1.0 / (n as f64).sqrt();
+                // Lemma 12: |V'2|/n ≤ 1 − (1 − a/n)^n + o(1).
+                assert!(
+                    row.minor_fraction_mean <= row.lemma12_bound + 0.05 + root,
+                    "Lemma 12 violated: a={a}, n={n}: {} > {}",
+                    row.minor_fraction_mean,
+                    row.lemma12_bound
+                );
+                // Lemma 13: μ/n ≥ 1 − e^(e^−a − 1) − o(1).
+                assert!(
+                    row.matching_fraction_mean >= row.lemma13_bound - root,
+                    "Lemma 13 violated: a={a}, n={n}: {} < {}",
+                    row.matching_fraction_mean,
+                    row.lemma13_bound
+                );
+                // Lemma 14: |V'2|/μ ≤ e/(e−1) < 1.6.
+                assert!(
+                    row.ratio_max <= 1.6 + 0.05,
+                    "Lemma 14's 1.6 exceeded: a={a}, n={n}: {}",
+                    row.ratio_max
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn subcritical_minor_fraction_vanishes() {
+        // Corollary 11: at p(n) = o(1/n), |V'2|/n → 0.
+        let regime = EdgeProbability::SubCritical { exponent: 1.5 };
+        let fractions: Vec<f64> = [128usize, 512, 2048]
+            .iter()
+            .map(|&n| random_graph_statistics(n, regime, 8, 11).minor_fraction_mean)
+            .collect();
+        assert!(
+            fractions.windows(2).all(|w| w[1] < w[0]),
+            "sub-critical |V'2|/n does not fall with n: {fractions:?}"
+        );
     }
 
     #[test]
     fn alg2_row_ratio_sane() {
-        let row = alg2_ratio_experiment(
-            48,
-            EdgeProbability::Critical { a: 1.0 },
-            SpeedProfile::Geometric { ratio: 2 },
-            4,
-            6,
-            2000,
-        );
-        assert!(
-            row.ratio_mean >= 1.0 - 1e-9,
-            "ratio below 1: {}",
-            row.ratio_mean
-        );
-        assert!(row.ratio_max < 4.0, "wildly bad ratio {}", row.ratio_max);
-        assert!(row.k_mean >= 2.0);
+        // Theorem 19: Algorithm 2 is a.a.s. a 2-approximation in every
+        // regime and for every speed shape; 0.25 is the finite-n slack.
+        for regime in REGIMES {
+            for profile in [
+                SpeedProfile::Equal,
+                SpeedProfile::Geometric { ratio: 2 },
+                SpeedProfile::OneFast { factor: 16 },
+                SpeedProfile::TwoTier {
+                    fast_count: 2,
+                    factor: 8,
+                },
+            ] {
+                for n in [128usize, 512] {
+                    let row = alg2_ratio_experiment(n, regime, profile, 6, 8, 29);
+                    let cell = format!("{} {} n={n}", row.regime, row.speeds);
+                    assert!(row.ratio_mean >= 1.0 - 1e-9, "{cell}: ratio below 1");
+                    assert!(
+                        row.ratio_max <= 2.0 + 0.25,
+                        "{cell}: Theorem 19 violated, ratio {}",
+                        row.ratio_max
+                    );
+                    assert!(row.k_mean >= 2.0, "{cell}: split below M_2");
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Section 4.1 of the paper — random bipartite graphs in Gilbert's model —
 //! as an executable analysis: per-realization statistics with the paper's
 //! theoretical curves ([`stats`]) and seed-parallel experiment runners
-//! behind the E5–E7 binaries ([`experiments`]).
+//! behind the lab's `paper-sec4` suite ([`experiments`]), whose tests
+//! gate Corollary 11, Lemmas 12–14 and Theorem 19.
 
 #![warn(missing_docs)]
 pub mod experiments;

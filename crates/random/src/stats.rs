@@ -1,7 +1,7 @@
 //! Per-realization statistics for `G_{n,n,p(n)}` and the paper's
 //! theoretical curves (Corollary 11, Lemmas 12–14, Theorems 15/17).
 //!
-//! One notation fix (documented in DESIGN.md §2.3): Lemma 14's denominator
+//! One notation fix: Lemma 14's denominator
 //! `n − α(G)` is, by König on the `2n`-vertex graph, the maximum matching
 //! size `μ(G)` — the minimum number of jobs that cannot ride on `M_1`
 //! together. We therefore measure `|V'_2| / μ(G)` against the paper's

@@ -64,7 +64,7 @@ fn main() {
         );
     }
 
-    // Sanity: the theorem's promise (checked statistically in experiment
-    // E7; here it just demonstrates the API).
+    // Sanity: the theorem's promise (checked statistically by the
+    // `bisched-random` tests; here it just demonstrates the API).
     assert!(plan.makespan.ratio_to(&plan.cstar) <= 2.5);
 }

@@ -145,8 +145,8 @@
 //! The DP itself is reachable as
 //! [`fptas::rm_cmax_fptas_with`](fptas::rm_cmax_fptas_with), whose
 //! [`FptasResult`](fptas::FptasResult) reports `expanded` / `pruned` /
-//! `peak_states` counters; the `fptas-scaling` lab suite and the
-//! `fptas_scaling` criterion bench pin its performance.
+//! `peak_states` counters; the `fptas-scaling` lab suite pins its
+//! performance.
 //!
 //! ## Observing a solve
 //!
@@ -357,8 +357,8 @@
 //! carries a seeded-bug mutation test proving the checker still bites;
 //! CI additionally runs the real-thread ring tests under Miri. See
 //! `crates/obs/README.md` for the checker's scope and limits. Unsafe
-//! code is a compile error outside `bisched-obs` and `bisched-bench`
-//! (`unsafe_code = "forbid"` in the workspace lints).
+//! code is a compile error outside `bisched-obs` (`unsafe_code =
+//! "forbid"` in the workspace lints).
 //!
 //! ## Guarantees and where they come from
 //!

@@ -11,7 +11,9 @@ use bisched::graph::{gilbert_bipartite, Graph, Vertex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Random small bipartite 1-PrExt instances with known answers.
+/// `count` random small bipartite 1-PrExt instances with known answers,
+/// then one certified NO. Sparse random graphs are almost always YES, so
+/// the claw keeps the NO branches of the callers reachable.
 fn sample_instances(count: usize, seed: u64) -> Vec<(Graph, [Vertex; 3], bool)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
@@ -21,12 +23,16 @@ fn sample_instances(count: usize, seed: u64) -> Vec<(Graph, [Vertex; 3], bool)> 
         let yes = precoloring_extension(&g, &standard_pins(&pins), 3).is_some();
         out.push((g, pins, yes));
     }
+    let (g, pins) = claw_no_instance(3);
+    assert!(precoloring_extension(&g, &standard_pins(&pins), 3).is_none());
+    out.push((g, pins, false));
     out
 }
 
 #[test]
 fn thm24_gap_matches_prext_answer_exactly() {
     let d = 64u64;
+    let mut no_seen = 0;
     for (g, pins, yes) in sample_instances(12, 211) {
         let red = reduce_1prext_to_rm(&g, pins, d, 3);
         let opt = branch_and_bound(&red.instance, 50_000_000);
@@ -44,12 +50,15 @@ fn thm24_gap_matches_prext_answer_exactly() {
                 "NO instance but OPT {mk} < d = {}",
                 red.no_bound()
             );
+            no_seen += 1;
         }
     }
+    assert!(no_seen > 0, "no NO sample reached the NO branch");
 }
 
 #[test]
 fn thm24_optimal_schedule_decodes_iff_yes() {
+    let mut no_seen = 0;
     for (g, pins, yes) in sample_instances(8, 223) {
         let red = reduce_1prext_to_rm(&g, pins, 64, 4);
         let opt = branch_and_bound(&red.instance, 50_000_000).optimum.unwrap();
@@ -61,8 +70,10 @@ fn thm24_optimal_schedule_decodes_iff_yes() {
             );
         } else {
             assert!(!red.decodes_to_yes(&opt.schedule, &g));
+            no_seen += 1;
         }
     }
+    assert!(no_seen > 0, "no NO sample reached the NO branch");
 }
 
 #[test]
