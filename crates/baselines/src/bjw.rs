@@ -1,6 +1,6 @@
 //! Bodlaender–Jansen–Woeginger-style 2-approximation for
 //! `P | G = bipartite | C_max` with `m ≥ 3` — the prior-art algorithm the
-//! paper generalizes away from ([3] proved the ratio 2 is best possible on
+//! paper generalizes away from (\[3\] proved the ratio 2 is best possible on
 //! identical machines).
 //!
 //! Shape of the algorithm: compute an inequitable 2-coloring

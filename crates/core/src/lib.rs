@@ -10,7 +10,7 @@
 //! * [`r2_reduction`] — Algorithm 3: component reduction of
 //!   `R2 | G = bipartite | C_max` to `R2 || C_max`;
 //! * [`r2_approx`] — Algorithm 4: `O(n)`-time 2-approximation (Theorem 21);
-//! * [`r2_fptas`] — Algorithm 5: FPTAS for `R2 | G = bipartite | C_max`
+//! * [`r2_fptas`](mod@r2_fptas) — Algorithm 5: FPTAS for `R2 | G = bipartite | C_max`
 //!   (Theorem 22);
 //! * [`thm4_q2unit`] — Theorem 4: `O(n³)` exact
 //!   `Q2 | G = bipartite, p_j = 1 | C_max` via the FPTAS route;
@@ -34,7 +34,7 @@ pub mod thm4_q2unit;
 pub use alg1_sqrt::{alg1_sqrt_approx, Alg1Error, Alg1Result};
 pub use alg2_random::{alg2_balanced, alg2_random_graph, Alg2Result};
 pub use r2_approx::r2_two_approx;
-pub use r2_fptas::{r2_fptas, r2_fptas_with, FptasControls, R2FptasError, R2FptasReport};
+pub use r2_fptas::{r2_fptas, r2_fptas_with, R2FptasError, R2FptasReport};
 pub use r2_reduction::{reduce_r2, Orientation, ReducedR2};
 pub use reduction_thm24::{reduce_1prext_to_rm, Thm24Reduction};
 pub use reduction_thm8::{reduce_1prext_to_qm, Thm8Reduction};

@@ -5,9 +5,8 @@
 //! encode the unavoidable base loads as two *guard jobs* pinned to their
 //! machines by an unreasonable cost (`3T`, as the paper's prose suggests)
 //! on the wrong machine; finally hand the difference jobs + guards to the
-//! `Rm || C_max` FPTAS — its two-machine merge sweep — and decode the
-//! orientation of every crossing component from where its difference job
-//! landed.
+//! `R2 || C_max` FPTAS and decode the orientation of every crossing
+//! component from where its difference job landed.
 //!
 //! Any schedule of the prepared jobs maps to an original schedule of the
 //! same makespan and vice versa, so the `(1+ε)` guarantee transfers.
@@ -15,22 +14,8 @@
 use crate::r2_approx::assign_cheaper;
 use crate::r2_reduction::reduce_r2;
 use bisched_exact::OracleError;
-use bisched_fptas::{rm_cmax_fptas_with, CapRelief, FptasError, FptasParams};
+use bisched_fptas::{rm_cmax_fptas_with, FptasError, FptasParams};
 use bisched_model::{Instance, Schedule};
-
-/// DP-core knobs threaded from [`SolverConfig`](crate::SolverConfig) into
-/// the `Rm || C_max` sweep behind Algorithm 5.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FptasControls {
-    /// Bound on any DP layer's live width (`None` = unbounded); see
-    /// [`bisched_fptas::FptasParams::state_cap`].
-    pub state_cap: Option<usize>,
-    /// When the cap is hit: `true` coarsens `ε` (doubling, capped at the
-    /// Algorithm 5 regime ceiling `ε = 1` so the guard-pinning argument
-    /// and Theorem 22 stay valid) and reports the effective `ε`; `false`
-    /// fails with a typed [`R2FptasError::StateCap`].
-    pub coarsen: bool,
-}
 
 /// A successful Algorithm 5 run with the DP-core observability attached.
 #[derive(Clone, Debug)]
@@ -56,8 +41,7 @@ pub enum R2FptasError {
     /// The Algorithm 3/4 preprocessing failed (wrong environment, odd
     /// cycle, …).
     Oracle(OracleError),
-    /// The DP outgrew [`FptasControls::state_cap`] and coarsening was
-    /// disabled or exhausted.
+    /// The DP outgrew its state cap even after coarsening `ε` to 1.
     StateCap(FptasError),
 }
 
@@ -82,7 +66,7 @@ impl From<OracleError> for R2FptasError {
 /// `R2 | G = bipartite | C_max`. Requires `ε ∈ (0, 1]` (the paper's FPTAS
 /// regime; Algorithm 1 calls it with `ε = 1`).
 pub fn r2_fptas(inst: &Instance, eps: f64) -> Result<Schedule, OracleError> {
-    match r2_fptas_with(inst, eps, &FptasControls::default()) {
+    match r2_fptas_with(inst, eps, None) {
         Ok(report) => Ok(report.schedule),
         Err(R2FptasError::Oracle(e)) => Err(e),
         Err(R2FptasError::StateCap(_)) => {
@@ -91,13 +75,16 @@ pub fn r2_fptas(inst: &Instance, eps: f64) -> Result<Schedule, OracleError> {
     }
 }
 
-/// Algorithm 5 with the DP-core knobs exposed: optional state cap (with
-/// graceful `ε`-coarsening) and the expanded / pruned / peak-width
-/// counters in the report.
+/// Algorithm 5 with the DP's counters in the report and an optional bound
+/// on its live width ([`bisched_fptas::FptasParams::state_cap`]). A layer
+/// past the cap coarsens `ε` by doubling, never past `ε = 1` (so the
+/// guard-pinning argument and Theorem 22 stay valid); the report carries
+/// the effective `ε`, and a cap that `ε = 1` cannot meet is a typed
+/// [`R2FptasError::StateCap`].
 pub fn r2_fptas_with(
     inst: &Instance,
     eps: f64,
-    controls: &FptasControls,
+    state_cap: Option<usize>,
 ) -> Result<R2FptasReport, R2FptasError> {
     assert!(
         eps > 0.0 && eps <= 1.0,
@@ -130,16 +117,11 @@ pub fn r2_fptas_with(
     times[0].push(penalty);
     times[1].push(red.base2());
 
-    // Step 6: FPTAS on the prepared R2||C_max instance. Coarsening stops
-    // at ε = 1: past that the misplaced-guard cost 3T would no longer
-    // dominate the (1+ε)·OPT ≤ 2T of a correct placement.
+    // Step 6: FPTAS on the prepared R2||C_max instance. Its coarsening
+    // stops at ε = 1: past that the misplaced-guard cost 3T would no
+    // longer dominate the (1+ε)·OPT ≤ 2T of a correct placement.
     let mut params = FptasParams::new(eps);
-    params.state_cap = controls.state_cap;
-    params.on_cap = if controls.coarsen {
-        CapRelief::Coarsen { max_eps: 1.0 }
-    } else {
-        CapRelief::Fail
-    };
+    params.state_cap = state_cap;
     let result = rm_cmax_fptas_with(&times, &params).map_err(R2FptasError::StateCap)?;
     let assignment = result.schedule.assignment();
     // Guards must sit on their own machines: misplacing one costs 3T alone,
@@ -261,19 +243,13 @@ mod tests {
     #[test]
     fn state_cap_coarsens_and_reports_effective_eps() {
         let inst = wide_instance(24, 71);
-        let free = r2_fptas_with(&inst, 0.02, &FptasControls::default()).unwrap();
+        let free = r2_fptas_with(&inst, 0.02, None).unwrap();
         assert_eq!(free.eps_effective, 0.02);
         assert!(free.expanded > 0);
         // A cap ε = 0.02 cannot meet but the coarsest regime ε can.
-        let cap = r2_fptas_with(&inst, 1.0, &FptasControls::default())
-            .unwrap()
-            .peak_states;
+        let cap = r2_fptas_with(&inst, 1.0, None).unwrap().peak_states;
         assert!(cap < free.peak_states, "width must scale with ε here");
-        let capped = FptasControls {
-            state_cap: Some(cap),
-            coarsen: true,
-        };
-        let r = r2_fptas_with(&inst, 0.02, &capped).expect("coarsening relieves the cap");
+        let r = r2_fptas_with(&inst, 0.02, Some(cap)).expect("coarsening relieves the cap");
         assert!(r.eps_effective > 0.02);
         assert!(r.eps_effective <= 1.0, "Algorithm 5's regime is ε ≤ 1");
         assert!(r.schedule.validate(&inst).is_ok());
@@ -284,14 +260,19 @@ mod tests {
     }
 
     #[test]
-    fn state_cap_without_coarsening_is_a_typed_error() {
+    fn state_cap_past_coarsening_is_a_typed_error() {
+        // A cap that even ε = 1 cannot meet: the requested ε = 0.02
+        // coarsens up to the regime ceiling, then fails typed.
         let inst = wide_instance(24, 73);
-        let controls = FptasControls {
-            state_cap: Some(2),
-            coarsen: false,
-        };
-        match r2_fptas_with(&inst, 0.02, &controls) {
+        match r2_fptas_with(&inst, 0.02, Some(2)) {
             Err(R2FptasError::StateCap(e)) => {
+                let FptasError::StateCapExceeded {
+                    cap,
+                    width,
+                    eps_reached,
+                } = e;
+                assert_eq!((cap, eps_reached), (2, 1.0), "{e}");
+                assert!(width > 2);
                 assert!(e.to_string().contains("state cap 2"), "{e}");
             }
             other => panic!("expected a state-cap error, got {other:?}"),
@@ -307,10 +288,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(83);
         for _ in 0..24 {
             let n: usize = rng.gen_range(1..=28);
-            let times: Vec<Vec<u64>> = (0..2)
-                .map(|_| (0..n).map(|_| rng.gen_range(1..=1_000)).collect())
-                .collect();
-            let inst = Instance::unrelated(times.clone(), Graph::empty(n)).unwrap();
+            let times: [Vec<u64>; 2] =
+                std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(1..=1_000)).collect());
+            let inst = Instance::unrelated(times.to_vec(), Graph::empty(n)).unwrap();
             let opt = r2_bipartite_exact(&inst).unwrap().makespan;
             for prune in [true, false] {
                 let mut params = FptasParams::new(0.0);
@@ -347,7 +327,7 @@ mod tests {
             let inst = Instance::unrelated(family.sample(2, n, &mut rng), g).unwrap();
             let opt = r2_bipartite_exact(&inst).unwrap();
             for eps in [1.0, 0.125, 0.02] {
-                let r = r2_fptas_with(&inst, eps, &FptasControls::default()).unwrap();
+                let r = r2_fptas_with(&inst, eps, None).unwrap();
                 assert!(r.schedule.validate(&inst).is_ok());
                 assert!(r.expanded > 0);
                 let ratio = r.schedule.makespan(&inst).ratio_to(&opt.makespan);

@@ -14,7 +14,8 @@
 //!
 //! The base loads plus difference jobs form an ordinary `R2 || C_max`
 //! instance whose schedules are in makespan-preserving bijection with the
-//! original ones (Theorem 21's proof); [`reconstruct`] maps back.
+//! original ones (Theorem 21's proof); [`ReducedR2::reconstruct`] maps
+//! back.
 
 use bisched_graph::{bipartition, Components, Side};
 use bisched_model::{Instance, MachineEnvironment, Schedule};
@@ -43,7 +44,7 @@ pub enum Orientation {
 #[derive(Clone, Debug)]
 pub struct ReducedR2 {
     /// `2 × c` times of the difference jobs (zeros for fixed components).
-    pub times: Vec<Vec<u64>>,
+    pub times: [Vec<u64>; 2],
     /// `P'`: per-component unavoidable load on `M_1`.
     pub p_prime: Vec<u64>,
     /// `P''`: per-component unavoidable load on `M_2`.
@@ -116,7 +117,7 @@ pub fn reduce_r2(inst: &Instance) -> Result<ReducedR2, OracleError> {
     let components = Components::of(g);
 
     let c = components.count();
-    let mut red_times = vec![vec![0u64; c], vec![0u64; c]];
+    let mut red_times = [vec![0u64; c], vec![0u64; c]];
     let mut p_prime = vec![0u64; c];
     let mut p_pprime = vec![0u64; c];
     let mut orientations = Vec::with_capacity(c);

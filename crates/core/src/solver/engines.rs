@@ -17,7 +17,7 @@ use super::report::EngineStats;
 use crate::alg1_sqrt::alg1_sqrt_approx;
 use crate::alg2_random::alg2_random_graph;
 use crate::r2_approx::r2_two_approx;
-use crate::r2_fptas::{r2_fptas_with, FptasControls};
+use crate::r2_fptas::r2_fptas_with;
 
 /// A successful engine run, before report assembly.
 pub(super) struct EngineSolution {
@@ -282,15 +282,11 @@ pub(super) fn run_method_ctl(
                 )));
             }
             require_two_machines(inst)?;
-            let controls = FptasControls {
-                state_cap: config.fptas_state_cap,
-                // A hit cap degrades gracefully to a coarser ε (≤ 1, the
-                // Algorithm 5 regime); only an unsatisfiable cap fails,
-                // typed, into the attempt record.
-                coarsen: true,
-            };
-            let report =
-                r2_fptas_with(inst, config.eps, &controls).map_err(|e| Failed(e.to_string()))?;
+            // A hit cap degrades gracefully to a coarser ε (≤ 1, the
+            // Algorithm 5 regime); only an unsatisfiable cap fails, typed,
+            // into the attempt record.
+            let report = r2_fptas_with(inst, config.eps, config.fptas_state_cap)
+                .map_err(|e| Failed(e.to_string()))?;
             // The guarantee carries the ε the DP actually ran at — equal
             // to the configured ε unless the state cap forced coarsening.
             let guarantee = Guarantee::OnePlusEps(report.eps_effective);

@@ -10,7 +10,7 @@ use bisched_model::{Instance, Rat};
 /// | variant | provenance |
 /// |---|---|
 /// | [`Optimal`](Guarantee::Optimal) | exact oracles; Theorem 4 covers the polynomial `Q2, p_j = 1` regime of the `Q2` DP |
-/// | [`Ratio(r)`](Guarantee::Ratio) | `2` from BJW [3] on `P, m ≥ 3` (best possible) and from Algorithm 4 / Theorem 21 on `R2` |
+/// | [`Ratio(r)`](Guarantee::Ratio) | `2` from BJW \[3\] on `P, m ≥ 3` (best possible) and from Algorithm 4 / Theorem 21 on `R2` |
 /// | [`SqrtSumP`](Guarantee::SqrtSumP) | Algorithm 1 / Theorem 9 — `√(Σ p_j) · C*`, matching the `Ω(n^{1/2−ε})` wall of Theorem 8 |
 /// | [`OnePlusEps(ε)`](Guarantee::OnePlusEps) | Algorithm 5 / Theorem 22 — the `R2` FPTAS |
 /// | [`Heuristic`](Guarantee::Heuristic) | no worst-case promise; for `R, m ≥ 3` Theorem 24 proves none is possible in polynomial time |

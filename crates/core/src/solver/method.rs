@@ -35,7 +35,7 @@ pub enum Method {
     /// (Theorem 19; a.a.s. 2-approximate on `G_{n,n,p(n)}`).
     Alg2,
     /// Bodlaender–Jansen–Woeginger 2-approximation for `P`, `m ≥ 3`
-    /// (ratio 2 is best possible on identical machines, [3]).
+    /// (ratio 2 is best possible on identical machines, \[3\]).
     Bjw,
     /// Algorithm 5: the `R2` FPTAS (Theorem 22); accuracy comes from
     /// [`SolverConfig::eps`](crate::SolverConfig::eps).

@@ -31,10 +31,10 @@
 //! |---|---|---|
 //! | any, `n ≤ auto_exact_jobs` | branch & bound, then CP when the node budget ran out | optimal when either search completes |
 //! | `Q2`/`P2`, `Σp_j ≤ exact_budget` | exact subset-sum DP | optimal (Theorem 4 regime) |
-//! | `P`, `m ≥ 3` | best of BJW [3] and Algorithm 1 | `2 · C*` when BJW ran (best possible, [3]) |
+//! | `P`, `m ≥ 3` | best of BJW \[3\] and Algorithm 1 | `2 · C*` when BJW ran (best possible, \[3\]) |
 //! | `Q`, `m ≥ 3` (or huge `Σp_j`) | Algorithm 1 | `√(Σp_j) · C*` (Theorem 9) |
 //! | `R2`, row mass ≤ `exact_budget` | exact load DP | optimal |
-//! | `R2` otherwise | Algorithm 5 (FPTAS) | `(1+ε) · C*` (Theorem 22) |
+//! | `R2` otherwise | Algorithm 5 (FPTAS); Algorithm 4 if its state cap fails it | `(1+ε) · C*` (Theorem 22); `2 · C*` (Theorem 21) |
 //! | `R`, `m ≥ 3` | graph-aware greedy | none — Theorem 24 proves none is possible |
 //!
 //! Every engine that ran (winners, losers, and inapplicable ones) is
@@ -520,6 +520,11 @@ impl Solver {
                     }
                     if let Some(sol) = self.attempt(inst, Method::R2Fptas, attempts) {
                         candidates.push((Method::R2Fptas, sol));
+                    } else if let Some(sol) = self.attempt(inst, Method::R2TwoApprox, attempts) {
+                        // The FPTAS failed: a state cap that even ε = 1
+                        // cannot meet. Algorithm 4 runs in linear time and
+                        // carries ratio 2, what the FPTAS has at ε = 1.
+                        candidates.push((Method::R2TwoApprox, sol));
                     }
                 } else {
                     // R, m >= 3: Theorem 24 — heuristic only.
@@ -675,6 +680,39 @@ mod tests {
         assert_eq!(s2.method, Method::R2Fptas);
         assert_eq!(s2.guarantee, Guarantee::OnePlusEps(DEFAULT_EPS));
         assert!(s2.makespan >= s.makespan);
+    }
+
+    #[test]
+    fn r2_auto_falls_back_to_two_approx_when_the_fptas_fails() {
+        // 20 crossing components: each edge's two orientations trade
+        // machine-0 load against machine-1 load, so the FPTAS layers hold
+        // more than one state and a one-state cap fails even at ε = 1.
+        let times = vec![
+            (0..20).flat_map(|k| [2, 10 + k]).collect(),
+            (0..20).flat_map(|k| [3, 9 + k]).collect(),
+        ];
+        let edges: Vec<(u32, u32)> = (0..20).map(|k| (2 * k, 2 * k + 1)).collect();
+        let inst = Instance::unrelated(times, Graph::from_edges(40, &edges)).unwrap();
+        let capped = SolverConfig::new()
+            .exact_budget(0)
+            .fptas_state_cap(Some(1))
+            .build()
+            .unwrap();
+        let s = capped.solve(&inst).unwrap();
+        assert_eq!(s.method, Method::R2TwoApprox);
+        assert_eq!(s.guarantee, Guarantee::Ratio(Rat::integer(2)));
+        assert!(s.schedule.validate(&inst).is_ok());
+        let fptas = s
+            .attempts
+            .iter()
+            .find(|run| run.method == Method::R2Fptas)
+            .expect("Auto tries the FPTAS first");
+        match &fptas.outcome {
+            EngineOutcome::Failed { reason } => {
+                assert!(reason.contains("state cap 1 exceeded"), "{reason}");
+            }
+            other => panic!("expected a failed FPTAS attempt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -153,17 +153,6 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
-    /// `makespan / lower_bound` as `f64`, when the lower bound is
-    /// positive — a cheap optimality-gap estimate (`1.0` means provably
-    /// optimal *with respect to the graph-blind bound*).
-    pub fn gap_estimate(&self) -> Option<f64> {
-        if self.lower_bound > Rat::ZERO {
-            Some(self.makespan.ratio_to(&self.lower_bound))
-        } else {
-            None
-        }
-    }
-
     /// The attempt whose schedule this report returned: the first
     /// `Solved` run of the winning method. `None` only for reports
     /// without attempt provenance (e.g. hand-built in tests).

@@ -1,5 +1,5 @@
 //! Exact polynomial algorithm for `Q | G = complete bipartite, p_j = 1 |
-//! C_max` under unary encoding — the related-work result [24] (Pikies,
+//! C_max` under unary encoding — the related-work result \[24\] (Pikies,
 //! Turowski, Kubale) that the paper's Section 2 builds on.
 //!
 //! With `G = K_{n_A,n_B}` every machine serves jobs from exactly one side,
@@ -9,8 +9,8 @@
 //! complement covers `n_B` — a subset-sum check. Binary search over the
 //! `O(mN)` candidate times with an `O(mN²/64)` bitset feasibility test.
 //!
-//! (Under *binary* encoding the problem is NP-hard [20]; the unary/unit
-//! restriction is exactly what [24] solves and what we implement.)
+//! (Under *binary* encoding the problem is NP-hard \[20\]; the unary/unit
+//! restriction is exactly what \[24\] solves and what we implement.)
 
 use crate::bitset::BitSet;
 use crate::bruteforce::Optimum;
@@ -172,9 +172,9 @@ fn fill(
 /// Errors of the complete-bipartite solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompleteBipartiteError {
-    /// Unrelated machines are out of scope ([24] shows `R` is hopeless).
+    /// Unrelated machines are out of scope (\[24\] shows `R` is hopeless).
     WrongEnvironment,
-    /// The algorithm is for unit jobs ([20]: NP-hard otherwise).
+    /// The algorithm is for unit jobs (\[20\]: NP-hard otherwise).
     NotUnitJobs,
     /// The graph has an odd cycle.
     NotBipartite,

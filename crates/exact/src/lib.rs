@@ -15,7 +15,7 @@
 //! * [`precolor`] — the 1-PrExt decider (Definition 2) with YES/NO instance
 //!   constructors for the Theorem 8/24 reduction experiments;
 //! * [`complete_bipartite`] — the exact polynomial algorithm for
-//!   `Q | G = complete bipartite, p_j = 1 | C_max` of the related work [24];
+//!   `Q | G = complete bipartite, p_j = 1 | C_max` of the related work \[24\];
 //! * [`bitset`] — the packed subset-sum kernel;
 //! * [`search_ctl`] — shared cancellation + cross-engine incumbent bound
 //!   for portfolio races.

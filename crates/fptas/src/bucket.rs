@@ -113,11 +113,6 @@ impl BucketGrid {
         self.edges.partition_point(|&e| e <= load) as u64
     }
 
-    /// Largest bucket index this grid can produce.
-    pub fn max_bucket(&self) -> u64 {
-        self.edges.len() as u64
-    }
-
     /// The bucket edges: bucket `k ≥ 1` is `[edges[k-1], edges[k])`, and
     /// the last bucket is open-ended. Lets a caller that visits loads in
     /// order walk the table forward instead of searching it per load.
@@ -283,7 +278,8 @@ mod tests {
     #[test]
     fn saturates_instead_of_panicking_past_max_load() {
         let g = BucketGrid::new(0.5, 1_000);
-        assert_eq!(g.bucket(u64::MAX), g.max_bucket());
+        // The last bucket, open-ended, takes everything past the table.
+        assert_eq!(g.bucket(u64::MAX), g.edges().len() as u64);
     }
 
     #[test]
@@ -291,7 +287,7 @@ mod tests {
         let delta = 0.05;
         let g = BucketGrid::new(delta, 1 << 30);
         let projected = BucketGrid::projected_edges(delta, 1 << 30);
-        let actual = g.max_bucket() as f64;
+        let actual = g.edges().len() as f64;
         assert!(
             (actual - projected).abs() <= 0.1 * projected + 8.0,
             "projected {projected} vs actual {actual}"

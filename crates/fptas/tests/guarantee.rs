@@ -1,7 +1,7 @@
-//! Deep property tests of the `Rm||C_max` FPTAS: the `(1+ε)` contract on
-//! arbitrary matrices, machine counts 1–3, the full ε grid, and the
-//! pruned/packed/streaming DP core's invariants (pruning parity, width
-//! monotonicity, bucket-grid monotonicity).
+//! Deep property tests of the `R2||C_max` FPTAS: the `(1+ε)` contract on
+//! arbitrary two-machine matrices, the full ε grid, and the pruned,
+//! streaming merge's invariants (pruning parity, width monotonicity, job
+//! order independence, bucket-grid monotonicity).
 
 use bisched_fptas::{
     makespan_of, rm_cmax_exact, rm_cmax_fptas, rm_cmax_fptas_with, BucketGrid, FptasParams,
@@ -10,9 +10,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn matrix(max_m: usize, max_n: usize, max_p: u64) -> impl Strategy<Value = Vec<Vec<u64>>> {
-    (1..=max_m, 0..=max_n).prop_flat_map(move |(m, n)| {
-        proptest::collection::vec(proptest::collection::vec(1..=max_p, n), m)
+fn matrix(max_n: usize, max_p: u64) -> impl Strategy<Value = [Vec<u64>; 2]> {
+    (0..=max_n).prop_flat_map(move |n| {
+        let row = || proptest::collection::vec(1..=max_p, n);
+        (row(), row()).prop_map(|(a, b)| [a, b])
     })
 }
 
@@ -21,32 +22,26 @@ proptest! {
 
     #[test]
     #[allow(clippy::needless_range_loop)] // j addresses column j across machine rows
-    fn exact_mode_is_optimal_vs_enumeration(times in matrix(3, 6, 20)) {
-        let m = times.len();
+    fn exact_mode_is_optimal_vs_enumeration(times in matrix(6, 20)) {
         let n = times[0].len();
         let r = rm_cmax_exact(&times);
         // The reported makespan is the true makespan of the schedule.
         prop_assert_eq!(makespan_of(&times, r.schedule.assignment()), r.makespan);
         // Enumerate.
-        let total = (m as u64).pow(n as u32);
-        prop_assume!(total <= 1 << 16);
         let mut best = u64::MAX;
-        for code in 0..total {
-            let mut c = code;
-            let mut loads = vec![0u64; m];
+        for code in 0..1u64 << n {
+            let mut loads = [0u64; 2];
             for j in 0..n {
-                let i = (c % m as u64) as usize;
-                c /= m as u64;
+                let i = (code >> j & 1) as usize;
                 loads[i] += times[i][j];
             }
-            best = best.min(loads.iter().copied().max().unwrap_or(0));
+            best = best.min(loads[0].max(loads[1]));
         }
-        if n == 0 { best = 0; }
         prop_assert_eq!(r.makespan, best);
     }
 
     #[test]
-    fn fptas_contract_over_grid(times in matrix(3, 7, 50), eps_pct in 1u32..=200) {
+    fn fptas_contract_over_grid(times in matrix(7, 50), eps_pct in 1u32..=200) {
         let eps = eps_pct as f64 / 100.0;
         let exact = rm_cmax_exact(&times).makespan;
         let approx = rm_cmax_fptas(&times, eps);
@@ -65,16 +60,15 @@ proptest! {
     }
 
     #[test]
-    fn schedule_assigns_every_job(times in matrix(3, 8, 30)) {
+    fn schedule_assigns_every_job(times in matrix(8, 30)) {
         let n = times[0].len();
-        let m = times.len() as u32;
         let r = rm_cmax_fptas(&times, 0.3);
         prop_assert_eq!(r.schedule.num_jobs(), n);
-        prop_assert!(r.schedule.assignment().iter().all(|&i| i < m));
+        prop_assert!(r.schedule.assignment().iter().all(|&i| i < 2));
     }
 
     #[test]
-    fn exact_mode_pruning_parity(times in matrix(3, 9, 5_000)) {
+    fn exact_mode_pruning_parity(times in matrix(9, 5_000)) {
         // With ε = 0 the bucket key is the exact coordinate prefix, so a
         // pruned state can never have been a bucket representative a
         // surviving state needed: pruned and unpruned sweeps are makespan-
@@ -89,7 +83,7 @@ proptest! {
     }
 
     #[test]
-    fn trimmed_pruning_keeps_the_contract(times in matrix(3, 9, 50_000), eps_pct in 1u32..=200) {
+    fn trimmed_pruning_keeps_the_contract(times in matrix(9, 50_000), eps_pct in 1u32..=200) {
         // Under trimming the two sweeps may pick different bucket
         // representatives, so bit-identity is not a theorem; what *is* a
         // theorem — and what this property pins on arbitrary inputs — is
@@ -108,7 +102,7 @@ proptest! {
     }
 
     #[test]
-    fn peak_width_is_non_increasing_in_eps(times in matrix(3, 10, 100_000)) {
+    fn peak_width_is_non_increasing_in_eps(times in matrix(10, 100_000)) {
         // Coarser grids keep fewer states. Adjacent ε grids are not
         // *nested* (a 2δ boundary need not be a δ boundary), so the width
         // may jitter by a state or two between neighbouring ε — the pin
@@ -140,24 +134,22 @@ proptest! {
 
     #[test]
     fn sweep_ignores_job_order(
-        times in matrix(3, 9, 100),
+        times in matrix(9, 100),
         seed in any::<u64>(),
         eps_pct in 1u32..=200,
     ) {
         // The sweep sorts the columns itself, so a permuted matrix runs the
         // same DP, counters and all, exactly and trimmed; each schedule
         // comes back in its caller's job order.
-        prop_assume!(times.len() >= 2);
         let n = times[0].len();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut perm: Vec<usize> = (0..n).collect();
         for j in (1..n).rev() {
             perm.swap(j, rng.gen_range(0..=j));
         }
-        let permuted: Vec<Vec<u64>> = times
-            .iter()
-            .map(|row| perm.iter().map(|&j| row[j]).collect())
-            .collect();
+        let permuted = times
+            .each_ref()
+            .map(|row| perm.iter().map(|&j| row[j]).collect::<Vec<u64>>());
         for eps in [0.0, eps_pct as f64 / 100.0] {
             let a = rm_cmax_fptas(&times, eps);
             let b = rm_cmax_fptas(&permuted, eps);
@@ -204,12 +196,10 @@ proptest! {
 fn pruned_never_worse_on_pinned_grid() {
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let m = rng.gen_range(2..=3);
         let n = rng.gen_range(2..=10);
         let hi = [20u64, 500, 100_000][(seed % 3) as usize];
-        let times: Vec<Vec<u64>> = (0..m)
-            .map(|_| (0..n).map(|_| rng.gen_range(1..=hi)).collect())
-            .collect();
+        let times: [Vec<u64>; 2] =
+            std::array::from_fn(|_| (0..n).map(|_| rng.gen_range(1..=hi)).collect());
         for eps in [0.0f64, 0.1, 0.5, 1.0, 2.0] {
             let pruned = rm_cmax_fptas(&times, eps);
             let mut p = FptasParams::new(eps);

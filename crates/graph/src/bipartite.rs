@@ -38,11 +38,6 @@ pub struct Bipartition {
 }
 
 impl Bipartition {
-    /// Builds from an explicit side vector (validated in debug builds only).
-    pub fn from_sides(sides: Vec<Side>) -> Self {
-        Bipartition { sides }
-    }
-
     /// The side of vertex `v`.
     #[inline]
     pub fn side(&self, v: Vertex) -> Side {

@@ -29,11 +29,6 @@ pub struct InequitableColoring {
 }
 
 impl InequitableColoring {
-    /// Membership mask of `V'_1`.
-    pub fn major_mask(&self) -> &[bool] {
-        &self.in_major
-    }
-
     /// Vertices of the major class `V'_1`, ascending.
     pub fn major(&self) -> Vec<Vertex> {
         mask_to_vertices(&self.in_major, true)
@@ -44,9 +39,9 @@ impl InequitableColoring {
         mask_to_vertices(&self.in_major, false)
     }
 
-    /// Whether `v` is in the major class.
-    #[inline]
-    pub fn is_major(&self, v: Vertex) -> bool {
+    /// Whether `v` is in the major class (the tests' membership oracle).
+    #[cfg(test)]
+    fn is_major(&self, v: Vertex) -> bool {
         self.in_major[v as usize]
     }
 

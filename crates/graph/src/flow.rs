@@ -2,7 +2,7 @@
 //!
 //! The paper's Algorithm 1 needs a *maximum-weight independent set* in a
 //! bipartite graph (step 2), which classically reduces to a minimum `s`–`t`
-//! cut in a flow network (the paper cites Orlin [22] for the flow step; we
+//! cut in a flow network (the paper cites Orlin \[22\] for the flow step; we
 //! implement Dinic, whose `O(E √V)`-on-unit-ish-networks behaviour is more
 //! than adequate at our scales and is ~150 lines instead of a research
 //! codebase).

@@ -129,55 +129,55 @@ pub fn attach_h3(b: &mut GraphBuilder, v: Vertex, x_pprime: usize, x_prime: usiz
     }
 }
 
-/// Counts vertices in `row` whose colour is **not** in `excluded`.
-/// Used to phrase the Lemma 5–7 case analyses.
-pub fn count_outside(colors: &[u8], row: &Range<Vertex>, excluded: &[u8]) -> usize {
-    row.clone()
-        .filter(|&u| !excluded.contains(&colors[u as usize]))
-        .count()
-}
-
-fn count_outside_rows(colors: &[u8], rows: &[&Range<Vertex>], excluded: &[u8]) -> usize {
-    rows.iter()
-        .map(|row| count_outside(colors, row, excluded))
-        .sum()
-}
-
-/// Lemma 5 disjunction for an `H1(x)` attached at `v`: either `v` is not
-/// coloured `c1`, or at least `x` vertices take colours outside `{c1}`.
-/// The paper counts qualifying vertices anywhere in `G`; here we count over
-/// the gadget's own rows, which is the *stronger* statement the reduction
-/// actually relies on (the gadget must supply the witnesses by itself).
-pub fn lemma5_holds(colors: &[u8], h: &H1, v: Vertex, c1: u8) -> bool {
-    colors[v as usize] != c1 || count_outside(colors, &h.leaves, &[c1]) >= h.leaves.len()
-}
-
-/// Lemma 6 disjunction for an `H2(x', x)` attached at `v` with colours
-/// `(c1, c2)`. Witness counts are taken over the gadget's rows (see
-/// [`lemma5_holds`]); thresholds are `x' = |mid|` and `x = |top|`.
-pub fn lemma6_holds(colors: &[u8], h: &H2, v: Vertex, c1: u8, c2: u8) -> bool {
-    let rows: [&Range<Vertex>; 2] = [&h.top, &h.mid];
-    colors[v as usize] != c2
-        || count_outside_rows(colors, &rows, &[c1, c2]) >= h.mid.len()
-        || count_outside_rows(colors, &rows, &[c1]) >= h.top.len()
-}
-
-/// Lemma 7 disjunction for an `H3(x'', x', x)` attached at `v` with colours
-/// `(c1, c2, c3)`. Witness counts are taken over the gadget's rows;
-/// thresholds are `x'' = |third|`, `x' = |second|`, `x = |top| = |star|`.
-pub fn lemma7_holds(colors: &[u8], h: &H3, v: Vertex, c1: u8, c2: u8, c3: u8) -> bool {
-    let rows: [&Range<Vertex>; 4] = [&h.top, &h.second, &h.third, &h.star];
-    colors[v as usize] != c3
-        || count_outside_rows(colors, &rows, &[c1, c2, c3]) >= h.third.len()
-        || count_outside_rows(colors, &rows, &[c1, c2]) >= h.second.len()
-        || count_outside_rows(colors, &rows, &[c1]) >= h.top.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bipartite::is_bipartite;
     use crate::graph::Graph;
+
+    /// Counts vertices in `row` whose colour is **not** in `excluded`.
+    /// Used to phrase the Lemma 5–7 case analyses.
+    fn count_outside(colors: &[u8], row: &Range<Vertex>, excluded: &[u8]) -> usize {
+        row.clone()
+            .filter(|&u| !excluded.contains(&colors[u as usize]))
+            .count()
+    }
+
+    fn count_outside_rows(colors: &[u8], rows: &[&Range<Vertex>], excluded: &[u8]) -> usize {
+        rows.iter()
+            .map(|row| count_outside(colors, row, excluded))
+            .sum()
+    }
+
+    /// Lemma 5 disjunction for an `H1(x)` attached at `v`: either `v` is not
+    /// coloured `c1`, or at least `x` vertices take colours outside `{c1}`.
+    /// The paper counts qualifying vertices anywhere in `G`; here we count over
+    /// the gadget's own rows, which is the *stronger* statement the reduction
+    /// actually relies on (the gadget must supply the witnesses by itself).
+    fn lemma5_holds(colors: &[u8], h: &H1, v: Vertex, c1: u8) -> bool {
+        colors[v as usize] != c1 || count_outside(colors, &h.leaves, &[c1]) >= h.leaves.len()
+    }
+
+    /// Lemma 6 disjunction for an `H2(x', x)` attached at `v` with colours
+    /// `(c1, c2)`. Witness counts are taken over the gadget's rows (see
+    /// [`lemma5_holds`]); thresholds are `x' = |mid|` and `x = |top|`.
+    fn lemma6_holds(colors: &[u8], h: &H2, v: Vertex, c1: u8, c2: u8) -> bool {
+        let rows: [&Range<Vertex>; 2] = [&h.top, &h.mid];
+        colors[v as usize] != c2
+            || count_outside_rows(colors, &rows, &[c1, c2]) >= h.mid.len()
+            || count_outside_rows(colors, &rows, &[c1]) >= h.top.len()
+    }
+
+    /// Lemma 7 disjunction for an `H3(x'', x', x)` attached at `v` with colours
+    /// `(c1, c2, c3)`. Witness counts are taken over the gadget's rows;
+    /// thresholds are `x'' = |third|`, `x' = |second|`, `x = |top| = |star|`.
+    fn lemma7_holds(colors: &[u8], h: &H3, v: Vertex, c1: u8, c2: u8, c3: u8) -> bool {
+        let rows: [&Range<Vertex>; 4] = [&h.top, &h.second, &h.third, &h.star];
+        colors[v as usize] != c3
+            || count_outside_rows(colors, &rows, &[c1, c2, c3]) >= h.third.len()
+            || count_outside_rows(colors, &rows, &[c1, c2]) >= h.second.len()
+            || count_outside_rows(colors, &rows, &[c1]) >= h.top.len()
+    }
 
     fn build_with<F, H>(attach: F) -> (Graph, Vertex, H)
     where

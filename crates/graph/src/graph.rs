@@ -41,7 +41,7 @@ impl Graph {
 
     /// The complete bipartite graph `K_{a,b}`: left part `0..a`, right part
     /// `a..a+b`. `Q|G = complete bipartite|C_max` is a recurring special case
-    /// in the related-work line ([20], [24]).
+    /// in the related-work line (\[20\], \[24\]).
     pub fn complete_bipartite(a: usize, b: usize) -> Self {
         let mut builder = GraphBuilder::new(a + b);
         for u in 0..a {

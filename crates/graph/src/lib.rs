@@ -13,21 +13,19 @@
 //!   paper's algorithms);
 //! * [`coloring`] — inequitable 2-colorings (Definition 1), weighted and
 //!   unweighted;
-//! * [`matching`] — Hopcroft–Karp, König covers, maximum independent sets;
+//! * [`matching`] — Hopcroft–Karp and König covers;
 //! * [`flow`] — Dinic max-flow;
 //! * [`independent`] — maximum-*weight* independent sets (Algorithm 1,
 //!   step 2), optionally containing a forced vertex set;
 //! * [`random`] — Gilbert's `G_{n,n,p(n)}` samplers and the `p(n)` regimes
 //!   of Section 4.1;
-//! * [`gadgets`] — the Figure 1 components `H1`/`H2`/`H3` with executable
-//!   Lemma 5–7 predicates;
-//! * [`dot`] — Graphviz export.
+//! * [`gadgets`] — the Figure 1 components `H1`/`H2`/`H3`, whose tests
+//!   check Lemmas 5–7 exhaustively.
 
 #![warn(missing_docs)]
 pub mod bipartite;
 pub mod coloring;
 pub mod components;
-pub mod dot;
 pub mod flow;
 pub mod gadgets;
 pub mod graph;

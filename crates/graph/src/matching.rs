@@ -4,8 +4,8 @@
 //! `μ(G_{n,n,p})` lower-bounds the number of jobs that cannot all sit on the
 //! fastest machine (via König: `|V| − α(G) = μ(G)` for bipartite `G`), which
 //! is exactly the denominator of Lemma 14's `1.6` ratio. The unweighted
-//! minimum vertex cover / maximum independent set also fall out here; the
-//! *weighted* versions needed by Algorithm 1 live in [`crate::independent`].
+//! minimum vertex cover also falls out here; the *weighted* independent
+//! sets needed by Algorithm 1 live in [`crate::independent`].
 
 use crate::bipartite::{Bipartition, Side};
 use crate::graph::{Graph, Vertex};
@@ -153,21 +153,9 @@ pub fn minimum_vertex_cover(g: &Graph, bp: &Bipartition, matching: &Matching) ->
         .collect()
 }
 
-/// Maximum independent set of a bipartite graph: the complement of a minimum
-/// vertex cover. `α(G) = |V| − μ(G)` (König).
-pub fn maximum_independent_set(g: &Graph, bp: &Bipartition, matching: &Matching) -> Vec<Vertex> {
-    let cover = minimum_vertex_cover(g, bp, matching);
-    let mut in_cover = vec![false; g.num_vertices()];
-    for &v in &cover {
-        in_cover[v as usize] = true;
-    }
-    (0..g.num_vertices() as Vertex)
-        .filter(|&v| !in_cover[v as usize])
-        .collect()
-}
-
-/// Whether `cover` covers every edge of `g`.
-pub fn is_vertex_cover(g: &Graph, cover: &[Vertex]) -> bool {
+/// Whether `cover` covers every edge of `g` (the König test's oracle).
+#[cfg(test)]
+fn is_vertex_cover(g: &Graph, cover: &[Vertex]) -> bool {
     let mut mask = vec![false; g.num_vertices()];
     for &v in cover {
         mask[v as usize] = true;
@@ -250,20 +238,12 @@ mod tests {
     }
 
     #[test]
-    fn independent_set_complements_cover() {
-        let g = Graph::complete_bipartite(4, 6);
-        let (bp, m) = solve(&g);
-        let is = maximum_independent_set(&g, &bp, &m);
-        assert_eq!(is.len(), g.num_vertices() - m.size());
-        assert!(g.is_independent_set(&is));
-    }
-
-    #[test]
     fn empty_graph_full_independence() {
+        // No edges: nothing matched, and the empty cover leaves every
+        // vertex independent.
         let g = Graph::empty(5);
         let (bp, m) = solve(&g);
         assert_eq!(m.size(), 0);
-        let is = maximum_independent_set(&g, &bp, &m);
-        assert_eq!(is.len(), 5);
+        assert!(minimum_vertex_cover(&g, &bp, &m).is_empty());
     }
 }

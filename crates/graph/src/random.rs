@@ -1,6 +1,6 @@
 //! Random bipartite graphs in Gilbert's model `G_{n,n,p(n)}` (Section 4.1).
 //!
-//! Following the paper (and [16]), `G_{n1,n2,p}` is the probability space of
+//! Following the paper (and \[16\]), `G_{n1,n2,p}` is the probability space of
 //! spanning subgraphs of `K_{n1,n2}` where each of the `n1·n2` possible
 //! edges appears independently with probability `p`. Two samplers:
 //!
@@ -75,7 +75,7 @@ pub fn gilbert_bipartite_skip<R: Rng + ?Sized>(n1: usize, n2: usize, p: f64, rng
 
 /// Uniform random labelled tree on `n` vertices via a random Prüfer
 /// sequence. Trees are the structured bipartite subclass the related work
-/// ([3]) treats specially; here they feed structured-input tests for the
+/// (\[3\]) treats specially; here they feed structured-input tests for the
 /// general algorithms.
 pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
     if n <= 1 {
@@ -110,7 +110,7 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 }
 
 /// A caterpillar: a spine path of `spine` vertices, each with `legs`
-/// pendant leaves — the bounded-degree bipartite shape of [7]/[23]-style
+/// pendant leaves — the bounded-degree bipartite shape of \[7\]/\[23\]-style
 /// special cases. `Δ = legs + 2`.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
     let mut b = GraphBuilder::new(spine);
@@ -128,7 +128,7 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 
 /// Random bipartite graph with maximum degree at most `max_deg` per side:
 /// sampled as a union of `max_deg` random partial matchings. The
-/// "bisubquartic" class of [23] is `max_deg ≤ 4`.
+/// "bisubquartic" class of \[23\] is `max_deg ≤ 4`.
 pub fn bounded_degree_bipartite<R: Rng + ?Sized>(
     n1: usize,
     n2: usize,
@@ -180,7 +180,7 @@ pub fn regular_bipartite<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Gr
 
 /// A random labelled forest: `trees` independent uniform random trees over
 /// `n` vertices total (sizes as equal as possible). Forests are the
-/// tree-structured bipartite subclass the related work ([3]) solves
+/// tree-structured bipartite subclass the related work (\[3\]) solves
 /// exactly; here they exercise the component-wise paths of the general
 /// algorithms.
 pub fn random_forest<R: Rng + ?Sized>(n: usize, trees: usize, rng: &mut R) -> Graph {

@@ -6,7 +6,7 @@
 //! warmup, repetitions, wall-time percentiles, and quality ratios
 //! ([`runner`], [`quality`]), machine-readable `BENCH_<suite>.json`
 //! reports with Markdown summaries ([`report`]), and the perf-regression
-//! gate CI runs on every push ([`compare`]).
+//! gate CI runs on every push ([`compare`](mod@compare)).
 //!
 //! Driven from the command line:
 //!

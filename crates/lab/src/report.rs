@@ -19,7 +19,7 @@
 //! ```
 //!
 //! Cells key on `scenario/config`; the regression gate
-//! ([`crate::compare`]) matches old and new reports cell-by-cell.
+//! ([`crate::compare`](mod@crate::compare)) matches old and new reports cell-by-cell.
 //!
 //! **v1 → v2**: version 2 adds two per-cell fields — `counters` (the
 //! winning engine's `EngineStats`, last rep) and `engine_attempts`

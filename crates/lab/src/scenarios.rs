@@ -74,7 +74,7 @@ pub enum GraphFamily {
         legs: usize,
     },
     /// Random bipartite graph with per-side maximum degree `max_deg`
-    /// (`max_deg = 4` is the bisubquartic class of [23]).
+    /// (`max_deg = 4` is the bisubquartic class of \[23\]).
     BoundedDegree {
         /// Side size.
         n: usize,

@@ -5,7 +5,6 @@
 //! processing requirements, and the incompatibility graph over jobs — and
 //! is the single input type of every algorithm in the workspace.
 
-use crate::rational::Rat;
 use bisched_graph::Graph;
 
 /// Index of a job (also its vertex id in the incompatibility graph).
@@ -272,17 +271,6 @@ impl Instance {
         }
     }
 
-    /// Exact processing time of job `j` on machine `i`.
-    pub fn time_on(&self, i: MachineId, j: JobId) -> Rat {
-        match &self.env {
-            MachineEnvironment::Identical { .. } => Rat::integer(self.processing[j as usize]),
-            MachineEnvironment::Uniform { speeds } => {
-                Rat::new(self.processing[j as usize], speeds[i as usize])
-            }
-            MachineEnvironment::Unrelated { times } => Rat::integer(times[i as usize][j as usize]),
-        }
-    }
-
     /// Raw unrelated time `p_{i,j}`; panics unless the environment is `R`.
     pub fn unrelated_time(&self, i: MachineId, j: JobId) -> u64 {
         match &self.env {
@@ -316,20 +304,12 @@ mod tests {
     }
 
     #[test]
-    fn time_on_uniform_is_exact() {
-        let inst = Instance::uniform(vec![3, 2], vec![7, 4], Graph::empty(2)).unwrap();
-        assert_eq!(inst.time_on(0, 0), Rat::new(7, 3));
-        assert_eq!(inst.time_on(1, 1), Rat::integer(2));
-    }
-
-    #[test]
     fn unrelated_min_projection() {
         let times = vec![vec![4, 9], vec![6, 2]];
         let inst = Instance::unrelated(times, Graph::empty(2)).unwrap();
         assert_eq!(inst.processing(0), 4);
         assert_eq!(inst.processing(1), 2);
         assert_eq!(inst.unrelated_time(1, 0), 6);
-        assert_eq!(inst.time_on(0, 1), Rat::integer(9));
     }
 
     #[test]

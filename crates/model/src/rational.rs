@@ -67,11 +67,6 @@ impl Rat {
         self.num.div_ceil(self.den)
     }
 
-    /// Whether the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Exact sum. Panics on (astronomically unlikely at our scales) overflow.
     pub fn add(&self, other: &Rat) -> Rat {
         let g = gcd(self.den, other.den);
@@ -105,16 +100,6 @@ impl Rat {
             (self.den / g2)
                 .checked_mul(other.den / g1)
                 .expect("Rat overflow"),
-        )
-    }
-
-    /// Exact quotient by a non-zero integer.
-    pub fn div_int(&self, k: u64) -> Rat {
-        assert!(k != 0);
-        let g = gcd(self.num, k);
-        Rat::new(
-            self.num / g,
-            self.den.checked_mul(k / g).expect("Rat overflow"),
         )
     }
 
@@ -191,7 +176,6 @@ mod tests {
         assert_eq!(Rat::new(1, 2).add(&Rat::new(1, 3)), Rat::new(5, 6));
         assert_eq!(Rat::new(3, 4).mul_int(8), Rat::integer(6));
         assert_eq!(Rat::new(3, 4).mul(&Rat::new(2, 9)), Rat::new(1, 6));
-        assert_eq!(Rat::new(9, 2).div_int(3), Rat::new(3, 2));
     }
 
     #[test]

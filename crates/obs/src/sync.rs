@@ -12,7 +12,7 @@
 //!   compile the facade away entirely; the bench gate pins this.
 //! * Under **`--cfg bisched_model`** the same names resolve to
 //!   instrumented shims that report every operation to the deterministic
-//!   scheduler in [`crate::model`], which exhaustively explores thread
+//!   scheduler in `crate::model`, which exhaustively explores thread
 //!   interleavings (DFS over schedule choices, bounded preemptions,
 //!   seen-state hashing) and checks happens-before race freedom on every
 //!   [`UnsafeCell`] access with vector clocks.

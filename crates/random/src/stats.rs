@@ -67,7 +67,7 @@ pub fn lemma12_bound(n: usize, a: f64) -> f64 {
 }
 
 /// Lemma 13's a.a.s. lower bound on `μ/n` at `p = a/n`:
-/// `1 − e^{e^{−a} − 1}` (Mastin–Jaillet [21]).
+/// `1 − e^{e^{−a} − 1}` (Mastin–Jaillet \[21\]).
 pub fn lemma13_bound(a: f64) -> f64 {
     1.0 - ((-a).exp() - 1.0).exp()
 }

@@ -99,13 +99,12 @@
 //!
 //! ## FPTAS knobs
 //!
-//! The `Rm || C_max` sweep behind Algorithm 5 (and, through Algorithm 1
+//! The `R2 || C_max` sweep behind Algorithm 5 (and, through Algorithm 1
 //! and the Theorem 4 route, behind most `Auto` solves) is a pruned,
 //! streaming DP ([`fptas`]): a greedy incumbent and suffix lower bounds
 //! kill hopeless states, and only compact backpointers are retained per
-//! layer. The solver always reaches it with two machines, where each
-//! layer is one sorted merge of its parent's two child lists with the
-//! Pareto-dominance rule applied inline. Two knobs steer it:
+//! layer. Each layer is one sorted merge of its parent's two child lists
+//! with the Pareto-dominance rule applied inline. Two knobs steer it:
 //!
 //! * [`SolverConfig::eps`](core::SolverConfig) (CLI `--eps`) — the
 //!   accuracy `ε ∈ (0, 1]` of the `(1+ε)` guarantee (Theorem 22);
@@ -113,9 +112,10 @@
 //!   `--fptas-state-cap`) — a bound on the DP's live width, capping its
 //!   memory. When a layer outgrows it the solver coarsens `ε` gracefully
 //!   (doubling, never past Algorithm 5's `ε = 1` regime ceiling) and the
-//!   reported guarantee carries the **effective** `ε`; an unsatisfiable
-//!   cap fails with a typed state-cap error, visible in
-//!   [`SolveReport::attempts`](core::SolveReport).
+//!   reported guarantee carries the **effective** `ε`; a cap that even
+//!   `ε = 1` cannot meet fails the FPTAS with a typed state-cap error,
+//!   visible in [`SolveReport::attempts`](core::SolveReport), and `Auto`
+//!   then falls back to Algorithm 4's 2-approximation.
 //!
 //! ```
 //! use bisched::prelude::*;
@@ -143,7 +143,7 @@
 //! ```
 //!
 //! The DP itself is reachable as
-//! [`fptas::rm_cmax_fptas_with`](fptas::rm_cmax_fptas_with), whose
+//! [`fptas::rm_cmax_fptas_with`], whose
 //! [`FptasResult`](fptas::FptasResult) reports `expanded` / `pruned` /
 //! `peak_states` counters; the `fptas-scaling` lab suite pins its
 //! performance.
@@ -368,7 +368,7 @@
 //! | [`Guarantee`](core::Guarantee) | provenance |
 //! |---|---|
 //! | `Optimal` | exact oracles — the `Q2`/`R2` DPs (Theorem 4 covers the polynomial `Q2, p_j = 1` regime), complete branch & bound, and the `bisched_cp` propagation engine when its makespan binary search closes (its proven lower bound meets its incumbent); a portfolio race also certifies its winner `Optimal` when any member's completed search proves nothing better exists |
-//! | `Ratio(2)` | BJW [3] on `P`, `m ≥ 3` (best possible there) and Algorithm 4 / Theorem 21 on `R2` |
+//! | `Ratio(2)` | BJW \[3\] on `P`, `m ≥ 3` (best possible there) and Algorithm 4 / Theorem 21 on `R2` |
 //! | `SqrtSumP` | Algorithm 1 / Theorem 9, matching Theorem 8's `Ω(n^{1/2−ε})` inapproximability wall |
 //! | `OnePlusEps(ε)` | Algorithm 5 / Theorem 22, the `R2` FPTAS |
 //! | `Heuristic` | no worst-case promise; for `R`, `m ≥ 3` Theorem 24 proves none is possible |
@@ -388,7 +388,7 @@
 //!   propagation against a binary-searched makespan bound,
 //!   conflict-graph domain pruning, activity-based branching with
 //!   restarts;
-//! * [`fptas`] — the `Rm || C_max` FPTAS substrate;
+//! * [`fptas`] — the `R2 || C_max` FPTAS substrate;
 //! * [`baselines`] — graph-aware LPT and the Bodlaender–Jansen–Woeginger
 //!   2-approximation;
 //! * [`core`] — the paper's Algorithms 1–5, Theorem 4, the Theorem 8/24
