@@ -171,6 +171,23 @@ impl Graph {
         )
     }
 
+    /// The same graph with vertex `v` renamed `inv[v]`; `inv` must be a
+    /// permutation of the vertex ids. Relabels and re-sorts each adjacency
+    /// list instead of rebuilding the graph from its edges.
+    pub fn relabeled(&self, inv: &[Vertex]) -> Graph {
+        debug_assert_eq!(inv.len(), self.num_vertices());
+        let mut adj = vec![Vec::new(); self.adj.len()];
+        for (u, nbrs) in self.adj.iter().enumerate() {
+            let mut row: Vec<Vertex> = nbrs.iter().map(|&v| inv[v as usize]).collect();
+            row.sort_unstable();
+            adj[inv[u] as usize] = row;
+        }
+        Graph {
+            adj,
+            num_edges: self.num_edges,
+        }
+    }
+
     /// The subgraph induced by the vertices where `keep` is true, together
     /// with the map `old id -> new id` (`u32::MAX` for dropped vertices).
     pub fn induced_subgraph(&self, keep: &[bool]) -> (Graph, Vec<Vertex>) {
@@ -351,6 +368,17 @@ mod tests {
         assert!(u.has_edge(0, 1));
         assert!(u.has_edge(3, 4));
         assert!(!u.has_edge(2, 3));
+    }
+
+    #[test]
+    fn relabeled_matches_a_rebuild_from_the_edges() {
+        let g = Graph::from_edges(5, &[(0, 1), (0, 3), (1, 2), (3, 4), (2, 4)]);
+        let inv = [3, 0, 4, 1, 2];
+        let edges: Vec<_> = g
+            .edges()
+            .map(|(u, v)| (inv[u as usize], inv[v as usize]))
+            .collect();
+        assert_eq!(g.relabeled(&inv), Graph::from_edges(5, &edges));
     }
 
     #[test]

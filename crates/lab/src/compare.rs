@@ -84,8 +84,20 @@ fn fmt_count(v: u64) -> String {
 /// switch, the largest counter moves (≥ 20% and non-trivial absolute
 /// change, worst first, capped at four), and the derived prunes/node
 /// ratio for tree-search engines — "what did the engine do differently",
-/// next to "how much slower" in the finding line.
+/// next to "how much slower" in the finding line. When either side
+/// raced, the winner and its counters differ between runs of one binary,
+/// so the deltas are marked `race-dependent` instead of offered as the
+/// cause.
 fn attribute(o: &CellReport, n: &CellReport) -> String {
+    let deltas = counter_deltas(o, n);
+    if (o.raced || n.raced) && !deltas.is_empty() {
+        format!("race-dependent ({deltas})")
+    } else {
+        deltas
+    }
+}
+
+fn counter_deltas(o: &CellReport, n: &CellReport) -> String {
     let mut parts: Vec<String> = Vec::new();
     if o.method != n.method && !o.method.is_empty() && !n.method.is_empty() {
         parts.push(format!("method {}→{}", o.method, n.method));
@@ -348,6 +360,7 @@ mod tests {
             guarantee: "heuristic".into(),
             counters: Vec::new(),
             engine_attempts: Vec::new(),
+            raced: false,
             error: None,
         }
     }
@@ -534,6 +547,40 @@ mod tests {
             "{}",
             out.regressions[0].attribution
         );
+    }
+
+    #[test]
+    fn raced_cells_mark_their_counter_deltas_race_dependent() {
+        let mut old = report(vec![cell("a", 1.0, 1.0)]);
+        counters(&mut old.cells[0], "cp", &[("nodes", 1_000)]);
+        let mut new = report(vec![cell("a", 3.0, 1.0)]);
+        counters(&mut new.cells[0], "branch-and-bound", &[("nodes", 9_000)]);
+        new.cells[0].raced = true;
+        let out = compare(&old, &new, &CompareOptions::default());
+        assert_eq!(
+            out.regressions[0].attribution,
+            "race-dependent (method cp→branch-and-bound, nodes 1.0k→9.0k)"
+        );
+        // The same deltas on sequential cells are the attributed cause.
+        new.cells[0].raced = false;
+        let out = compare(&old, &new, &CompareOptions::default());
+        assert_eq!(
+            out.regressions[0].attribution,
+            "method cp→branch-and-bound, nodes 1.0k→9.0k"
+        );
+    }
+
+    #[test]
+    fn v2_cells_without_the_raced_field_load_as_sequential() {
+        let mut json = serde_json::to_string(&report(vec![cell("a", 1.0, 1.0)])).unwrap();
+        assert!(!json.contains("raced"), "{json}");
+        let loaded: LabReport = serde_json::from_str(&json).unwrap();
+        assert!(!loaded.cells[0].raced);
+        let mut raced = report(vec![cell("a", 1.0, 1.0)]);
+        raced.cells[0].raced = true;
+        json = serde_json::to_string(&raced).unwrap();
+        let loaded: LabReport = serde_json::from_str(&json).unwrap();
+        assert!(loaded.cells[0].raced);
     }
 
     #[test]

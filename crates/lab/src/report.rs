@@ -86,6 +86,12 @@ pub struct CellReport {
     /// just which won. Empty for v1 files. Schema v2.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub engine_attempts: Vec<(String, u64)>,
+    /// Whether the last timed rep was a portfolio race. A race's winner
+    /// and counters vary between runs of one binary, so `lab compare`
+    /// does not attribute a raced cell's change to them. Absent (false)
+    /// in older files.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
+    pub raced: bool,
     /// Solve error, when the cell failed (timings are zero then).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub error: Option<String>,
@@ -243,6 +249,7 @@ mod tests {
             guarantee: "optimal".into(),
             counters: vec![("nodes".into(), 42)],
             engine_attempts: vec![("alg1".into(), 1)],
+            raced: false,
             error: None,
         }
     }

@@ -117,6 +117,7 @@ fn run_cell(
         guarantee: String::new(),
         counters: Vec::new(),
         engine_attempts: Vec::new(),
+        raced: false,
         error: None,
     };
     let solver = match config.config.clone().build() {
@@ -163,9 +164,11 @@ fn run_cell(
     };
     cell.ratio_opt = optimum.map(|opt| report.makespan.ratio_to(opt));
     // Schema v2: the winner's counters and the per-engine attempt
-    // counts from the last timed rep (engines are deterministic, so the
-    // last rep is representative) — what `lab compare` attributes p50
-    // regressions to.
+    // counts from the last timed rep — what `lab compare` attributes p50
+    // regressions to. A sequential solve repeats them exactly; a race's
+    // winner and counts depend on thread timing, so the cell says
+    // whether it raced.
+    cell.raced = report.race_time.is_some();
     if let Some(winner) = report.winner_run() {
         cell.counters = winner
             .stats

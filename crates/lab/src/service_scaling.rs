@@ -126,6 +126,7 @@ fn cell_skeleton(shards: usize, corpus_len: usize, params: &ServiceScalingParams
         guarantee: "cache-hit".into(),
         counters: Vec::new(),
         engine_attempts: Vec::new(),
+        raced: false,
         error: None,
     }
 }

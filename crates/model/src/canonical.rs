@@ -11,19 +11,49 @@
 //! # The job order
 //!
 //! Jobs start with invariant colors derived from their processing data
-//! and are refined by iterated color refinement (every job repeatedly
-//! absorbs the sorted multiset of its neighbors' colors until the
-//! partition stops growing). An individualization-refinement search then
-//! resolves the remaining ties: it branches on the first tied cell,
-//! individualizes each candidate in turn, refines, and recurses until the
-//! coloring is discrete. Each such leaf orders the jobs by color, and its
-//! key is the leaf's colors followed by the edge list relabeled in that
-//! order. The canonical order is the first leaf, in depth-first order,
-//! with the smallest key. Fully interchangeable tie cells — every outside
-//! job adjacent to all or none of the cell, the cell itself complete or
-//! empty — are ordered directly without branching, which covers empty
-//! graphs, complete bipartite blocks and equal-size job classes in linear
-//! time.
+//! and are refined to an equitable coloring: jobs of one color see the
+//! same multiset of neighbor colors. An individualization-refinement
+//! search then resolves the remaining ties: it branches on the first tied
+//! cell (the smallest color held by two or more jobs), individualizes
+//! each candidate in turn, refines, and recurses until the coloring is
+//! discrete. Each such leaf orders the jobs by color, and its key is the
+//! leaf's colors followed by the edge list relabeled in that order. The
+//! canonical order is the first leaf, in depth-first order, with the
+//! smallest key. Fully interchangeable tie cells — every outside job
+//! adjacent to all or none of the cell, the cell itself complete or empty
+//! — are ordered directly without branching, which covers empty graphs,
+//! complete bipartite blocks and equal-size job classes in linear time.
+//!
+//! # Refinement
+//!
+//! Two refinements run, each where it is cheapest:
+//!
+//! - **At the root: rounds.** Every job absorbs the sorted multiset of its
+//!   neighbors' colors, round after round, until the partition stops
+//!   growing. Rounds also run after each shortcut at the root.
+//! - **Below the root: splitters** (McKay & Piperno, *Practical graph
+//!   isomorphism II*, 2014). Individualizing a job splits its cell into
+//!   the job and the rest. From then on only cells that just split are
+//!   used as splitters: the neighbors of a splitter's members are
+//!   counted, and a cell whose members' counts differ splits into parts
+//!   named `mix(cell, splitter, count)`. A cell that does not split keeps
+//!   its name. Splitters wait in a queue, joined in name order under
+//!   Hopcroft's rule (all parts of a waiting cell, else all but the
+//!   largest). Refinement stops when the queue is empty or the coloring
+//!   is discrete; the result is the coarsest equitable refinement, which
+//!   rounds would also reach, under other names. Each step reads only the
+//!   splitter's adjacency, not the whole graph's.
+//! - **After a shortcut below the root: none.** An interchangeable cell's
+//!   outside jobs see all or none of it, so in an equitable coloring
+//!   every other cell sees each of its singletons equally often: the
+//!   coloring stays equitable.
+//!
+//! Every queue order, tie-break and name derives from names and counts,
+//! never from job ids, so relabeled instances get the same names and the
+//! same search tree. An instance whose search never branches is colored
+//! by the root's rounds alone, which are those of the search before
+//! splitter refinement, so its canonical form cannot move; only forms of
+//! instances that branch depend on the refinement below the root.
 //!
 //! # Pruning with automorphisms
 //!
@@ -55,10 +85,11 @@
 //! sibling's subtree onto it. Both then hold the same leaf keys, so the
 //! skipped one can neither improve the best key nor hold its first
 //! occurrence. The pruned search therefore returns exactly the leaf the
-//! plain search returns: the same certificate, fingerprint, job and
-//! machine permutations, cache keys and snapshot files. A reference
-//! property test in this module and a registry digest in `bisched-lab`
-//! pin this.
+//! plain search on the same refinement schedule returns: the same
+//! certificate, fingerprint, job and machine permutations, cache keys and
+//! snapshot files. A reference property test in this module pins this,
+//! and `bisched-lab` pins the registry's forms by digest: one digest for
+//! the scenarios that never branch, one for those that do.
 //!
 //! # The budget
 //!
@@ -71,10 +102,11 @@
 //! [`Canonical::certificate`] bytes on lookup, not just the fingerprint).
 
 use crate::instance::{Instance, MachineEnvironment};
-use crate::io::InstanceData;
 use crate::schedule::Schedule;
 use bisched_graph::Graph;
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Search budget: maximum number of candidate subtrees the
 /// individualization search explores before falling back to
@@ -252,10 +284,15 @@ fn permutations(items: &[u32], cap: usize) -> Vec<Vec<u32>> {
     out
 }
 
-/// One candidate normal form: the relabeled data and its certificate.
-/// The instance itself is built only for the winning candidate.
+/// One candidate normal form: the relabeled parts of the instance and
+/// their certificate. The instance itself is assembled only for the
+/// winning candidate.
 struct Candidate {
-    data: InstanceData,
+    env: MachineEnvironment,
+    /// Relabeled `P`/`Q` processing times; empty for `R`, whose times
+    /// live in `env`.
+    processing: Vec<u64>,
+    graph: Graph,
     job_perm: Vec<u32>,
     machine_perm: Vec<u32>,
     certificate: Vec<u8>,
@@ -264,47 +301,15 @@ struct Candidate {
 impl Candidate {
     /// Relabels `inst` by a job order and a machine order.
     fn new(inst: &Instance, order: Vec<u32>, machine_perm: Vec<u32>) -> Candidate {
-        let n = inst.num_jobs();
-        let mut inv = vec![0u32; n];
+        let mut inv = vec![0u32; inst.num_jobs()];
         for (c, &j) in order.iter().enumerate() {
             inv[j as usize] = c as u32;
         }
-        // Edges in canonical indices, normalized and sorted.
-        let mut edges: Vec<(u32, u32)> = inst
-            .graph()
-            .edges()
-            .map(|(u, v)| {
-                let (a, b) = (inv[u as usize], inv[v as usize]);
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        edges.sort_unstable();
-        let data = match inst.env() {
-            MachineEnvironment::Identical { m } => InstanceData {
-                env: "P".into(),
-                machines: Some(*m),
-                speeds: None,
-                processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-                times: None,
-                jobs: n,
-                edges,
-            },
-            MachineEnvironment::Uniform { speeds } => InstanceData {
-                env: "Q".into(),
-                machines: None,
-                speeds: Some(speeds.clone()),
-                processing: Some(order.iter().map(|&j| inst.processing(j)).collect()),
-                times: None,
-                jobs: n,
-                edges,
-            },
-            MachineEnvironment::Unrelated { times } => InstanceData {
-                env: "R".into(),
-                machines: None,
-                speeds: None,
-                processing: None,
-                times: Some(
-                    machine_perm
+        let graph = inst.graph().relabeled(&inv);
+        let (env, processing) = match inst.env() {
+            MachineEnvironment::Unrelated { times } => (
+                MachineEnvironment::Unrelated {
+                    times: machine_perm
                         .iter()
                         .map(|&i| {
                             order
@@ -313,25 +318,36 @@ impl Candidate {
                                 .collect()
                         })
                         .collect(),
-                ),
-                jobs: n,
-                edges,
-            },
+                },
+                Vec::new(),
+            ),
+            env => (
+                env.clone(),
+                order.iter().map(|&j| inst.processing(j)).collect(),
+            ),
         };
         Candidate {
-            certificate: certificate_bytes(&data),
-            data,
+            certificate: certificate_bytes(&env, &processing, &graph),
+            env,
+            processing,
+            graph,
             job_perm: order,
             machine_perm,
         }
     }
 
     fn finish(self) -> Canonical {
+        let instance = match self.env {
+            MachineEnvironment::Identical { m } => {
+                Instance::identical(m, self.processing, self.graph)
+            }
+            MachineEnvironment::Uniform { speeds } => {
+                Instance::uniform(speeds, self.processing, self.graph)
+            }
+            MachineEnvironment::Unrelated { times } => Instance::unrelated(times, self.graph),
+        };
         Canonical {
-            instance: self
-                .data
-                .into_instance()
-                .expect("canonical relabeling is valid"),
+            instance: instance.expect("canonical relabeling is valid"),
             job_perm: self.job_perm,
             machine_perm: self.machine_perm,
             fingerprint: fnv128(&self.certificate),
@@ -340,35 +356,41 @@ impl Candidate {
     }
 }
 
-/// Stable byte encoding of a canonical [`InstanceData`].
-fn certificate_bytes(data: &InstanceData) -> Vec<u8> {
+/// Stable byte encoding of a canonical instance: the `α` field, the job
+/// count, the machine data, the processing times and the edge list
+/// (`u < v`, sorted).
+fn certificate_bytes(env: &MachineEnvironment, processing: &[u64], graph: &Graph) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(data.env.as_bytes());
+    out.extend_from_slice(env.alpha().as_bytes());
     let push = |out: &mut Vec<u8>, x: u64| out.extend_from_slice(&x.to_le_bytes());
-    push(&mut out, data.jobs as u64);
-    if let Some(m) = data.machines {
-        out.push(b'm');
-        push(&mut out, m as u64);
-    }
-    if let Some(speeds) = &data.speeds {
-        out.push(b's');
-        push(&mut out, speeds.len() as u64);
-        speeds.iter().for_each(|&s| push(&mut out, s));
-    }
-    if let Some(p) = &data.processing {
+    push(&mut out, graph.num_vertices() as u64);
+    let push_processing = |out: &mut Vec<u8>| {
         out.push(b'p');
-        p.iter().for_each(|&x| push(&mut out, x));
-    }
-    if let Some(times) = &data.times {
-        out.push(b't');
-        push(&mut out, times.len() as u64);
-        for row in times {
-            row.iter().for_each(|&x| push(&mut out, x));
+        processing.iter().for_each(|&x| push(out, x));
+    };
+    match env {
+        MachineEnvironment::Identical { m } => {
+            out.push(b'm');
+            push(&mut out, *m as u64);
+            push_processing(&mut out);
+        }
+        MachineEnvironment::Uniform { speeds } => {
+            out.push(b's');
+            push(&mut out, speeds.len() as u64);
+            speeds.iter().for_each(|&s| push(&mut out, s));
+            push_processing(&mut out);
+        }
+        MachineEnvironment::Unrelated { times } => {
+            out.push(b't');
+            push(&mut out, times.len() as u64);
+            for row in times {
+                row.iter().for_each(|&x| push(&mut out, x));
+            }
         }
     }
     out.push(b'e');
-    push(&mut out, data.edges.len() as u64);
-    for &(u, v) in &data.edges {
+    push(&mut out, graph.num_edges() as u64);
+    for (u, v) in graph.edges() {
         push(&mut out, u as u64);
         push(&mut out, v as u64);
     }
@@ -418,6 +440,8 @@ struct OrderSearch<'a> {
     levels: Vec<Level>,
     /// Leaves reached in the current call.
     leaves: usize,
+    /// Adjacency entries read by refinement in the current call.
+    refine_reads: usize,
     first: Leaf,
     best: Leaf,
     /// Whether the best leaf is still the first one (`best` is then
@@ -446,6 +470,8 @@ impl Generator {
 struct Level {
     /// The node's coloring: refined, with shortcut cells individualized.
     colors: Vec<u64>,
+    /// `(color, job)` pairs of `colors` in ascending order.
+    sorted: Vec<(u64, u32)>,
     /// The cell branched on, ascending job ids.
     cell: Vec<u32>,
     /// Union-find parents over job ids, smallest id as root, merging
@@ -528,8 +554,6 @@ struct Scratch {
     next: Vec<u64>,
     neighbor_colors: Vec<u64>,
     distinct: Vec<u64>,
-    /// `(color, job)` pairs in ascending order.
-    sorted: Vec<(u64, u32)>,
     in_cell: Vec<bool>,
     outside_hits: Vec<u32>,
     touched: Vec<u32>,
@@ -538,6 +562,7 @@ struct Scratch {
     inv: Vec<u32>,
     /// Per twin class: its first member in the current cell.
     twin_slot: Vec<u32>,
+    cells: Cells,
 }
 
 impl Scratch {
@@ -548,25 +573,26 @@ impl Scratch {
             gamma: vec![0; n],
             inv: vec![0; n],
             twin_slot: vec![NO_TWIN; n],
+            cells: Cells::new(n),
             ..Scratch::default()
         }
     }
 
-    /// Stable refinement: each round every job absorbs the sorted
+    /// Round-based refinement: each round every job absorbs the sorted
     /// multiset of its neighbors' colors; stops after the first round
-    /// that does not grow the partition.
-    fn refine(&mut self, graph: &Graph, colors: &mut [u64]) {
+    /// that does not grow the partition. Returns the adjacency entries
+    /// read.
+    fn refine(&mut self, graph: &Graph, colors: &mut [u64]) -> usize {
+        let mut reads = 0;
         let mut distinct = self.count_distinct(colors);
         loop {
             self.next.clear();
             for (j, &color) in colors.iter().enumerate() {
+                let neighbors = graph.neighbors(j as u32);
+                reads += neighbors.len();
                 self.neighbor_colors.clear();
-                self.neighbor_colors.extend(
-                    graph
-                        .neighbors(j as u32)
-                        .iter()
-                        .map(|&v| colors[v as usize]),
-                );
+                self.neighbor_colors
+                    .extend(neighbors.iter().map(|&v| colors[v as usize]));
                 self.neighbor_colors.sort_unstable();
                 let h = self
                     .neighbor_colors
@@ -577,7 +603,7 @@ impl Scratch {
             colors.copy_from_slice(&self.next);
             let d = self.count_distinct(colors);
             if d == distinct {
-                return;
+                return reads;
             }
             distinct = d;
         }
@@ -589,28 +615,6 @@ impl Scratch {
         self.distinct.sort_unstable();
         self.distinct.dedup();
         self.distinct.len()
-    }
-
-    /// Sorts the jobs by color into `sorted` and returns the range of the
-    /// first tied cell: the smallest color held by two or more jobs,
-    /// members in ascending id order.
-    fn first_cell(&mut self, colors: &[u64]) -> Option<std::ops::Range<usize>> {
-        self.sorted.clear();
-        self.sorted
-            .extend(colors.iter().enumerate().map(|(j, &c)| (c, j as u32)));
-        self.sorted.sort_unstable();
-        let mut i = 0;
-        while i < self.sorted.len() {
-            let mut k = i + 1;
-            while k < self.sorted.len() && self.sorted[k].0 == self.sorted[i].0 {
-                k += 1;
-            }
-            if k - i > 1 {
-                return Some(i..k);
-            }
-            i = k;
-        }
-        None
     }
 
     /// Whether every job outside the cell is adjacent to all or none of
@@ -649,6 +653,211 @@ impl Scratch {
         }
         self.touched.clear();
         ok
+    }
+}
+
+/// Sorts the jobs by color into `sorted` and returns the range of the
+/// first tied cell: the smallest color held by two or more jobs,
+/// members in ascending id order.
+fn first_cell(colors: &[u64], sorted: &mut Vec<(u64, u32)>) -> Option<Range<usize>> {
+    sorted.clear();
+    sorted.extend(colors.iter().enumerate().map(|(j, &c)| (c, j as u32)));
+    sorted.sort_unstable();
+    let mut i = 0;
+    while i < sorted.len() {
+        let mut k = i + 1;
+        while k < sorted.len() && sorted[k].0 == sorted[i].0 {
+            k += 1;
+        }
+        if k - i > 1 {
+            return Some(i..k);
+        }
+        i = k;
+    }
+    None
+}
+
+/// The partition of the jobs that splitter refinement works on: every
+/// cell is a run of `elems`, identified by where it starts and named by
+/// its members' common color. Where parts of a split cell go inside its
+/// run depends on counts only, so cell starts, like names, never depend
+/// on job ids.
+#[derive(Default)]
+struct Cells {
+    /// The jobs, cell by cell.
+    elems: Vec<u32>,
+    /// `start[j]`: where job `j`'s cell starts in `elems`.
+    start: Vec<u32>,
+    /// `end[s]`: where the cell starting at `s` ends.
+    end: Vec<u32>,
+    /// Whether the cell starting at `s` waits in `queue`.
+    queued: Vec<bool>,
+    /// Whether the cell starting at `s` holds a neighbor of the splitter.
+    touched: Vec<bool>,
+    /// `count[j]`: how many neighbors job `j` has in the splitter.
+    count: Vec<u32>,
+    /// Splitters waiting, by cell start.
+    queue: VecDeque<u32>,
+    touched_jobs: Vec<u32>,
+    touched_cells: Vec<u32>,
+    /// The parts of the cell being split: `(name, start, size)`.
+    parts: Vec<(u64, u32, u32)>,
+}
+
+impl Cells {
+    fn new(n: usize) -> Cells {
+        Cells {
+            start: vec![0; n],
+            end: vec![0; n],
+            queued: vec![false; n],
+            touched: vec![false; n],
+            count: vec![0; n],
+            ..Cells::default()
+        }
+    }
+
+    /// Seeded equitable refinement. `parent` holds the `(color, job)`
+    /// pairs of an equitable coloring in ascending order, and `colors` a
+    /// copy of that coloring. Individualizes job `c`, whose cell is
+    /// tied, and refines only by the cells that split from then on, until
+    /// the coloring is equitable again (or discrete). Returns the
+    /// adjacency entries read.
+    fn refine_from(
+        &mut self,
+        graph: &Graph,
+        parent: &[(u64, u32)],
+        c: u32,
+        colors: &mut [u64],
+    ) -> usize {
+        let n = parent.len();
+        self.elems.clear();
+        self.elems.extend(parent.iter().map(|&(_, j)| j));
+        let mut cells = 0;
+        let mut a = 0;
+        for run in parent.chunk_by(|x, y| x.0 == y.0) {
+            for &(_, j) in run {
+                self.start[j as usize] = a as u32;
+            }
+            self.end[a] = (a + run.len()) as u32;
+            a += run.len();
+            cells += 1;
+        }
+        // `c` moves to the front of its cell as a singleton. Both parts
+        // are renamed: were the rest to keep the cell's name, a job
+        // individualized from it later would take `c`'s name.
+        let a = self.start[c as usize] as usize;
+        let b = self.end[a] as usize;
+        debug_assert!(b - a > 1, "only a tied job is individualized");
+        let at = self.elems[a..b]
+            .iter()
+            .position(|&j| j == c)
+            .expect("a job lies in its own cell");
+        self.elems.swap(a, a + at);
+        self.end[a] = a as u32 + 1;
+        self.end[a + 1] = b as u32;
+        let cell = colors[c as usize];
+        for &j in &self.elems[a + 1..b] {
+            self.start[j as usize] = a as u32 + 1;
+            colors[j as usize] = mix(cell, 0x1d20);
+        }
+        colors[c as usize] = mix(cell, 0x1d1f);
+        cells += 1;
+        // Every cell has uniform counts into the old cell, so counts into
+        // the singleton determine counts into the rest: the singleton
+        // alone is a complete set of splitters.
+        self.queued[a] = true;
+        self.queue.push_back(a as u32);
+        let mut reads = 0;
+        while cells < n {
+            let Some(s) = self.queue.pop_front() else {
+                break;
+            };
+            let s = s as usize;
+            self.queued[s] = false;
+            let splitter = colors[self.elems[s] as usize];
+            for &u in &self.elems[s..self.end[s] as usize] {
+                let neighbors = graph.neighbors(u);
+                reads += neighbors.len();
+                for &v in neighbors {
+                    if self.count[v as usize] == 0 {
+                        self.touched_jobs.push(v);
+                    }
+                    self.count[v as usize] += 1;
+                }
+            }
+            for &v in &self.touched_jobs {
+                let t = self.start[v as usize];
+                if !self.touched[t as usize] {
+                    self.touched[t as usize] = true;
+                    self.touched_cells.push(t);
+                }
+            }
+            let mut touched_cells = std::mem::take(&mut self.touched_cells);
+            touched_cells.sort_unstable_by_key(|&t| (colors[self.elems[t as usize] as usize], t));
+            for &t in &touched_cells {
+                self.touched[t as usize] = false;
+                cells += self.split(t as usize, splitter, colors);
+            }
+            touched_cells.clear();
+            self.touched_cells = touched_cells;
+            for &v in &self.touched_jobs {
+                self.count[v as usize] = 0;
+            }
+            self.touched_jobs.clear();
+        }
+        for s in self.queue.drain(..) {
+            self.queued[s as usize] = false;
+        }
+        reads
+    }
+
+    /// Splits the cell starting at `t` by the members' counts into the
+    /// splitter named `splitter`. Parts are laid out by ascending count
+    /// and named `mix(cell, splitter, count)`; a cell whose counts agree
+    /// keeps its name. The parts join the queue in name order under
+    /// Hopcroft's rule: all of them if the cell was waiting, else all but
+    /// the largest (ties: the smallest name). Returns the cells added.
+    fn split(&mut self, t: usize, splitter: u64, colors: &mut [u64]) -> usize {
+        let e = self.end[t] as usize;
+        let count = &self.count;
+        let cell = &mut self.elems[t..e];
+        let first = count[cell[0] as usize];
+        if cell.iter().all(|&j| count[j as usize] == first) {
+            return 0;
+        }
+        cell.sort_unstable_by_key(|&j| count[j as usize]);
+        let name = mix(colors[cell[0] as usize], splitter);
+        self.parts.clear();
+        let mut a = t;
+        for part in self.elems[t..e].chunk_by(|&x, &y| count[x as usize] == count[y as usize]) {
+            let part_name = mix(name, count[part[0] as usize] as u64);
+            for &j in part {
+                self.start[j as usize] = a as u32;
+                colors[j as usize] = part_name;
+            }
+            self.end[a] = (a + part.len()) as u32;
+            self.parts.push((part_name, a as u32, part.len() as u32));
+            a += part.len();
+        }
+        self.parts.sort_unstable();
+        let stays = if self.queued[t] {
+            // The waiting entry now stands for the part at `t`.
+            t as u32
+        } else {
+            let largest = self
+                .parts
+                .iter()
+                .max_by_key(|&&(name, _, size)| (size, Reverse(name)))
+                .expect("a split has parts");
+            largest.1
+        };
+        for &(_, s, _) in &self.parts {
+            if s != stays {
+                self.queued[s as usize] = true;
+                self.queue.push_back(s);
+            }
+        }
+        self.parts.len() - 1
     }
 }
 
@@ -733,6 +942,7 @@ impl<'a> OrderSearch<'a> {
             budget: 0,
             levels: Vec::new(),
             leaves: 0,
+            refine_reads: 0,
             first: Leaf::default(),
             best: Leaf::default(),
             best_is_first: true,
@@ -744,6 +954,7 @@ impl<'a> OrderSearch<'a> {
     fn job_order(&mut self, init: &[u64]) -> Vec<u32> {
         self.budget = SEARCH_BUDGET;
         self.leaves = 0;
+        self.refine_reads = 0;
         if self.levels.is_empty() {
             self.levels.push(Level::default());
         }
@@ -758,33 +969,40 @@ impl<'a> OrderSearch<'a> {
         best.order.clone()
     }
 
-    /// Searches the subtree of the node at depth `d`, whose unrefined
-    /// coloring is in `levels[d]`. `Some(t)` abandons every node below
-    /// depth `t`: the candidate being explored at `t` turned out to be
-    /// equivalent to an explored sibling.
+    /// Searches the subtree of the node at depth `d`, whose coloring is in
+    /// `levels[d]`: the initial colors at the root, already refined
+    /// below it. `Some(t)` abandons every node below depth `t`: the
+    /// candidate being explored at `t` turned out to be equivalent to an
+    /// explored sibling.
     fn explore(&mut self, d: usize) -> Option<usize> {
         let inst = self.inst;
         let graph = inst.graph();
         let level = &mut self.levels[d];
-        self.scratch.refine(graph, &mut level.colors);
+        if d == 0 {
+            self.refine_reads += self.scratch.refine(graph, &mut level.colors);
+        }
         loop {
-            let Some(range) = self.scratch.first_cell(&level.colors) else {
+            let Some(range) = first_cell(&level.colors, &mut level.sorted) else {
                 return self.leaf(d);
             };
             level.cell.clear();
             level
                 .cell
-                .extend(self.scratch.sorted[range].iter().map(|&(_, j)| j));
+                .extend(level.sorted[range].iter().map(|&(_, j)| j));
             if !self.scratch.interchangeable(graph, &level.cell) {
                 break;
             }
             // Any ordering of the cell yields the same leaves:
-            // individualize all members at once, in id order, and keep
-            // refining without branching.
+            // individualize all members at once, in id order, and go on
+            // without branching. The coloring stays equitable, so only
+            // the root refines again, which keeps the forms of instances
+            // that never branch.
             for (rank, &j) in level.cell.iter().enumerate() {
                 level.colors[j as usize] = mix(level.colors[j as usize], rank as u64 + 1);
             }
-            self.scratch.refine(graph, &mut level.colors);
+            if d == 0 {
+                self.refine_reads += self.scratch.refine(graph, &mut level.colors);
+            }
         }
         self.seed_orbits(d);
         let width = if self.budget == 0 {
@@ -806,7 +1024,10 @@ impl<'a> OrderSearch<'a> {
             let child = &mut below[0].colors;
             child.clear();
             child.extend_from_slice(&path[d].colors);
-            child[c as usize] = mix(child[c as usize], 0x1d1f);
+            self.refine_reads += self
+                .scratch
+                .cells
+                .refine_from(graph, &path[d].sorted, c, child);
             if let Some(to) = self.explore(d + 1) {
                 if to < d {
                     return Some(to);
@@ -849,14 +1070,13 @@ impl<'a> OrderSearch<'a> {
     }
 
     /// Scores the discrete coloring of the node at depth `d` (its jobs
-    /// sorted by color are in `scratch.sorted`).
+    /// sorted by color are in `levels[d].sorted`).
     fn leaf(&mut self, d: usize) -> Option<usize> {
         let inst = self.inst;
         let graph = inst.graph();
         self.leaves += 1;
-        let Scratch {
-            sorted, gamma, inv, ..
-        } = &mut self.scratch;
+        let sorted = &self.levels[d].sorted;
+        let Scratch { gamma, inv, .. } = &mut self.scratch;
         if self.leaves == 1 {
             self.first.set(sorted, None);
             self.best_is_first = true;
@@ -933,10 +1153,12 @@ impl<'a> OrderSearch<'a> {
 
 #[cfg(test)]
 mod reference {
-    //! The unpruned search the pruned one must reproduce, kept verbatim
-    //! from before automorphism pruning.
+    //! The unpruned search the pruned one must reproduce: the search from
+    //! before automorphism pruning, on the same refinement schedule
+    //! (rounds at the root, seeded refinement below it, none after a
+    //! shortcut below it).
 
-    use super::{mix, SEARCH_BUDGET};
+    use super::{mix, Cells, SEARCH_BUDGET};
     use bisched_graph::Graph;
 
     /// The reference job order, and whether its search stayed within the
@@ -944,21 +1166,24 @@ mod reference {
     pub(super) fn job_order(graph: &Graph, init: &[u64]) -> (Vec<u32>, bool) {
         let mut budget = SEARCH_BUDGET;
         let mut best: Option<(Vec<u8>, Vec<u32>)> = None;
-        search_order(graph, init.to_vec(), &mut budget, &mut best);
+        let mut colors = init.to_vec();
+        refine(graph, &mut colors);
+        search_order(graph, colors, true, &mut budget, &mut best);
         (
             best.expect("search yields at least one order").1,
             budget > 0,
         )
     }
 
-    /// One search node: refine, shortcut or branch on the first tied cell.
+    /// One search node over a refined coloring: shortcut or branch on the
+    /// first tied cell.
     fn search_order(
         graph: &Graph,
         mut colors: Vec<u64>,
+        root: bool,
         budget: &mut usize,
         best: &mut Option<(Vec<u8>, Vec<u32>)>,
     ) {
-        refine(graph, &mut colors);
         loop {
             let cells = tied_cells(&colors);
             let Some(cell) = cells.first().cloned() else {
@@ -978,18 +1203,26 @@ mod reference {
                 for (rank, &j) in cell.iter().enumerate() {
                     colors[j as usize] = mix(colors[j as usize], rank as u64 + 1);
                 }
-                refine(graph, &mut colors);
+                if root {
+                    refine(graph, &mut colors);
+                }
                 continue;
             }
             // Branch: individualize each candidate in the cell.
+            let mut parent: Vec<(u64, u32)> = colors
+                .iter()
+                .enumerate()
+                .map(|(j, &c)| (c, j as u32))
+                .collect();
+            parent.sort_unstable();
             let candidates: &[u32] = if *budget == 0 { &cell[..1] } else { &cell };
             for &j in candidates {
                 if *budget > 0 {
                     *budget -= 1;
                 }
                 let mut next = colors.clone();
-                next[j as usize] = mix(next[j as usize], 0x1d1f);
-                search_order(graph, next, budget, best);
+                Cells::new(colors.len()).refine_from(graph, &parent, j, &mut next);
+                search_order(graph, next, false, budget, best);
             }
             return;
         }
@@ -997,7 +1230,7 @@ mod reference {
 
     /// Stable refinement: each round every job absorbs the sorted multiset of
     /// its neighbors' colors; stops when the partition stops growing.
-    fn refine(graph: &Graph, colors: &mut [u64]) {
+    pub(super) fn refine(graph: &Graph, colors: &mut [u64]) {
         let mut distinct = count_distinct(colors);
         loop {
             let mut next = vec![0u64; colors.len()];
@@ -1115,6 +1348,8 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::InstanceData;
+    use bisched_graph::random::regular_bipartite;
     use bisched_graph::{Graph, GraphBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1340,6 +1575,71 @@ mod tests {
         }
     }
 
+    #[test]
+    fn refinement_below_the_root_reads_only_what_splits() {
+        // Whole-graph rounds read all 2|E| adjacency entries per round.
+        // On these two graphs the round-based search read 31,488 and
+        // 22,272 entries for the same 6 and 4 leaves; splitter
+        // refinement reads 908 and 1,113.
+        let mut rng = StdRng::seed_from_u64(0xc0b1c);
+        for (graph, max_reads) in [
+            (cycles(&[32, 32]), 1_500),
+            (regular_bipartite(32, 3, &mut rng), 2_000),
+        ] {
+            let n = graph.num_vertices();
+            let inst = Instance::identical(3, vec![1; n], graph).unwrap();
+            let mut search = OrderSearch::new(&inst);
+            search.job_order(&processing_colors(&inst));
+            assert!(
+                search.refine_reads <= max_reads,
+                "{n} jobs: {} adjacency entries read",
+                search.refine_reads
+            );
+        }
+    }
+
+    /// `colors` as a set partition: each job mapped to the first job of
+    /// its color.
+    fn set_partition(colors: &[u64]) -> Vec<usize> {
+        (0..colors.len())
+            .map(|j| colors.iter().position(|&c| c == colors[j]).unwrap())
+            .collect()
+    }
+
+    /// Whether jobs of one color all see the same multiset of neighbor
+    /// colors.
+    fn is_equitable(graph: &Graph, colors: &[u64]) -> bool {
+        let profile = |j: usize| {
+            let mut seen: Vec<u64> = graph
+                .neighbors(j as u32)
+                .iter()
+                .map(|&v| colors[v as usize])
+                .collect();
+            seen.sort_unstable();
+            seen
+        };
+        (0..colors.len()).all(|j| {
+            let first = colors.iter().position(|&c| c == colors[j]).unwrap();
+            profile(j) == profile(first)
+        })
+    }
+
+    /// A copy of `inst` under a random job relabeling, with the `Q`
+    /// speeds and the `R` rows shuffled as well.
+    fn resubmitted(inst: &Instance, rng: &mut StdRng) -> Instance {
+        let perm = shuffled(inst.num_jobs(), rng);
+        let mut data = InstanceData::from_instance(&relabeled(inst, &perm));
+        if let Some(speeds) = data.speeds.as_mut() {
+            let order = shuffled(speeds.len(), rng);
+            *speeds = order.iter().map(|&i| speeds[i as usize]).collect();
+        }
+        if let Some(times) = data.times.as_mut() {
+            let order = shuffled(times.len(), rng);
+            *times = order.iter().map(|&i| times[i as usize].clone()).collect();
+        }
+        data.into_instance().unwrap()
+    }
+
     /// A tie-heavy random instance of at most 24 jobs, relabeled at
     /// random: unit or two-valued sizes on unions of even cycles, crowns,
     /// unions of perfect matchings or complete bipartite blocks, under
@@ -1391,12 +1691,45 @@ mod tests {
                 b.build()
             }
         };
+        let inst = tied_sizes(graph, env, two_valued, &mut rng);
+        relabeled(&inst, &shuffled(inst.num_jobs(), &mut rng))
+    }
+
+    /// A hit-unit-shaped instance: unit or two-valued sizes on a union of
+    /// even cycles (up to 48 jobs), a cubic bipartite graph, `K_{a,b}` or
+    /// a crown, under `P`, `Q` or `R`.
+    fn unit_family_instance(family: u8, env: u8, two_valued: bool, seed: u64) -> Instance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = match family {
+            0 => {
+                let mut lengths = Vec::new();
+                let mut total = 0;
+                loop {
+                    let len = 2 * rng.gen_range(2..=8usize);
+                    if total + len > 48 {
+                        break;
+                    }
+                    lengths.push(len);
+                    total += len;
+                }
+                cycles(&lengths)
+            }
+            1 => regular_bipartite(rng.gen_range(3..=16usize), 3, &mut rng),
+            2 => Graph::complete_bipartite(rng.gen_range(1..=12usize), rng.gen_range(1..=12usize)),
+            _ => Graph::crown(rng.gen_range(3..=10usize)),
+        };
+        tied_sizes(graph, env, two_valued, &mut rng)
+    }
+
+    /// Unit or two-valued job sizes on `graph` under `P`, `Q` or `R`
+    /// (`env` 0, 1 or 2), on two or three machines.
+    fn tied_sizes(graph: Graph, env: u8, two_valued: bool, rng: &mut StdRng) -> Instance {
         let n = graph.num_vertices();
         let class: Vec<usize> = (0..n)
             .map(|_| usize::from(two_valued && rng.gen_range(0..2u32) == 0))
             .collect();
         let m = rng.gen_range(2..=3usize);
-        let inst = match env {
+        match env {
             0 => Instance::identical(m, class.iter().map(|&c| 1 + c as u64).collect(), graph),
             1 => Instance::uniform(
                 (0..m).map(|_| rng.gen_range(1..=2u64)).collect(),
@@ -1413,8 +1746,7 @@ mod tests {
                 Instance::unrelated(times, graph)
             }
         }
-        .unwrap();
-        relabeled(&inst, &shuffled(n, &mut rng))
+        .unwrap()
     }
 
     proptest! {
@@ -1437,6 +1769,73 @@ mod tests {
             prop_assert_eq!(got.fingerprint, want.fingerprint);
             prop_assert_eq!(&got.job_perm, &want.job_perm);
             prop_assert_eq!(&got.machine_perm, &want.machine_perm);
+        }
+
+        /// Seeded refinement of an equitable coloring with one job
+        /// individualized yields the set partition that round-based
+        /// refinement of the same coloring yields, and that partition is
+        /// equitable. Each step starts from the previous step's seeded
+        /// result, as the search does below the root.
+        #[test]
+        fn seeded_refinement_matches_round_refinement(
+            family in 0u8..8,
+            two_valued in any::<bool>(),
+            seed in any::<u64>(),
+            pick in any::<usize>(),
+        ) {
+            let inst = if family < 4 {
+                tie_heavy_instance(family, 0, two_valued, seed)
+            } else {
+                unit_family_instance(family - 4, 0, two_valued, seed)
+            };
+            let graph = inst.graph();
+            let n = inst.num_jobs();
+            let mut colors = processing_colors(&inst);
+            reference::refine(graph, &mut colors);
+            let mut cells = Cells::new(n);
+            loop {
+                let tied: Vec<u32> = (0..n as u32)
+                    .filter(|&j| colors.iter().filter(|&&c| c == colors[j as usize]).count() > 1)
+                    .collect();
+                if tied.is_empty() {
+                    break;
+                }
+                let c = tied[pick % tied.len()];
+                let mut parent: Vec<(u64, u32)> =
+                    colors.iter().enumerate().map(|(j, &c)| (c, j as u32)).collect();
+                parent.sort_unstable();
+                let mut seeded = colors.clone();
+                cells.refine_from(graph, &parent, c, &mut seeded);
+                let mut rounds = colors.clone();
+                rounds[c as usize] = mix(rounds[c as usize], 0x1d1f);
+                reference::refine(graph, &mut rounds);
+                prop_assert_eq!(set_partition(&seeded), set_partition(&rounds));
+                prop_assert!(is_equitable(graph, &seeded));
+                colors = seeded;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Resubmissions of the unit-job families a warm cache serves
+        /// (relabeled jobs, shuffled `Q` speeds, shuffled `R` rows) all
+        /// get one certificate.
+        #[test]
+        fn relabelings_of_unit_families_share_one_certificate(
+            family in 0u8..4,
+            env in 0u8..3,
+            two_valued in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let inst = unit_family_instance(family, env, two_valued, seed);
+            let want = canonicalize(&inst).certificate;
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7e1a_be15);
+            for _ in 0..4 {
+                let again = canonicalize(&resubmitted(&inst, &mut rng));
+                prop_assert_eq!(&again.certificate, &want);
+            }
         }
     }
 }

@@ -531,13 +531,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         mode: FrameMode::Json,
         pinned: None,
     };
-    let mut pending: Vec<u8> = Vec::new();
+    let mut pending = Pending::default();
     let mut chunk = [0u8; 16 * 1024];
     'conn: loop {
         // Serve every complete message already buffered before reading
         // more bytes.
         loop {
-            let msg = match next_message(&mut pending, conn.mode) {
+            let msg = match pending.next_message(conn.mode) {
                 Ok(Some(m)) => m,
                 Ok(None) => break,
                 // Framing violation (oversized or malformed frame): the
@@ -559,7 +559,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         }
         match read_half.read(&mut chunk) {
             Ok(0) => break, // EOF
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
+            Ok(n) => pending.bytes.extend_from_slice(&chunk[..n]),
             // Poll timeout: partial bytes stay in `pending` and the next
             // read continues the same message.
             Err(e)
@@ -577,40 +577,50 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Extracts the next complete message from `pending`, if one is fully
-/// buffered: a `\n`-terminated line (trimmed, delimiter removed) in JSON
-/// mode, a length-prefixed payload in binary mode.
-fn next_message(pending: &mut Vec<u8>, mode: FrameMode) -> Result<Option<Vec<u8>>, String> {
-    match mode {
-        FrameMode::Json => {
-            let Some(pos) = pending.iter().position(|&b| b == b'\n') else {
-                return Ok(None);
-            };
-            let mut line: Vec<u8> = pending.drain(..=pos).collect();
-            line.pop(); // the delimiter
-            while line.last().is_some_and(|b| b.is_ascii_whitespace()) {
-                line.pop();
+/// Bytes received on a connection and not yet framed.
+#[derive(Default)]
+struct Pending {
+    bytes: Vec<u8>,
+    /// JSON mode: how many leading bytes are known to hold no `\n`, so
+    /// each byte is scanned once however many reads its line spans.
+    scanned: usize,
+}
+
+impl Pending {
+    /// Extracts the next complete message, if one is fully buffered: a
+    /// `\n`-terminated line (trimmed, delimiter removed) in JSON mode, a
+    /// length-prefixed payload in binary mode.
+    fn next_message(&mut self, mode: FrameMode) -> Result<Option<Vec<u8>>, String> {
+        match mode {
+            FrameMode::Json => {
+                let unscanned = &self.bytes[self.scanned..];
+                let Some(at) = unscanned.iter().position(|&b| b == b'\n') else {
+                    self.scanned = self.bytes.len();
+                    return Ok(None);
+                };
+                let end = self.scanned + at;
+                let line = self.bytes[..end].trim_ascii().to_vec();
+                self.bytes.drain(..=end);
+                self.scanned = 0;
+                Ok(Some(line))
             }
-            while line.first().is_some_and(|b| b.is_ascii_whitespace()) {
-                line.remove(0);
+            FrameMode::Binary => {
+                let pending = &mut self.bytes;
+                if pending.len() < 4 {
+                    return Ok(None);
+                }
+                let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes checked"));
+                if len > frame::MAX_FRAME_LEN {
+                    return Err(format!("frame length {len} over limit"));
+                }
+                let total = 4 + len as usize;
+                if pending.len() < total {
+                    return Ok(None);
+                }
+                let mut payload: Vec<u8> = pending.drain(..total).collect();
+                payload.drain(..4);
+                Ok(Some(payload))
             }
-            Ok(Some(line))
-        }
-        FrameMode::Binary => {
-            if pending.len() < 4 {
-                return Ok(None);
-            }
-            let len = u32::from_le_bytes(pending[..4].try_into().expect("4 bytes checked"));
-            if len > frame::MAX_FRAME_LEN {
-                return Err(format!("frame length {len} over limit"));
-            }
-            let total = 4 + len as usize;
-            if pending.len() < total {
-                return Ok(None);
-            }
-            let mut payload: Vec<u8> = pending.drain(..total).collect();
-            payload.drain(..4);
-            Ok(Some(payload))
         }
     }
 }
@@ -1180,17 +1190,40 @@ mod tests {
 
     #[test]
     fn json_messages_split_on_newlines_and_survive_partials() {
-        let mut pending: Vec<u8> = b"  {\"verb\":\"ping\"}  \n{\"verb\"".to_vec();
-        let first = next_message(&mut pending, FrameMode::Json).unwrap();
+        let mut pending = Pending {
+            bytes: b"  {\"verb\":\"ping\"}  \n{\"verb\"".to_vec(),
+            scanned: 0,
+        };
+        let first = pending.next_message(FrameMode::Json).unwrap();
         assert_eq!(first.as_deref(), Some(b"{\"verb\":\"ping\"}".as_slice()));
         // The second message is incomplete: nothing yet, bytes retained.
-        assert!(next_message(&mut pending, FrameMode::Json)
-            .unwrap()
-            .is_none());
-        pending.extend_from_slice(b":\"stats\"}\n");
-        let second = next_message(&mut pending, FrameMode::Json).unwrap();
+        assert!(pending.next_message(FrameMode::Json).unwrap().is_none());
+        pending.bytes.extend_from_slice(b":\"stats\"}\n");
+        let second = pending.next_message(FrameMode::Json).unwrap();
         assert_eq!(second.as_deref(), Some(b"{\"verb\":\"stats\"}".as_slice()));
-        assert!(pending.is_empty());
+        assert!(pending.bytes.is_empty());
+    }
+
+    #[test]
+    fn a_long_json_line_is_scanned_once_across_reads() {
+        let mut line = b" \t{\"verb\":\"ping\",\"pad\":\"".to_vec();
+        line.resize(4 << 20, b'x');
+        line.extend_from_slice(b"\"}\r\n");
+        let chunks: Vec<&[u8]> = line.chunks(16 * 1024).collect();
+        let mut pending = Pending::default();
+        for (i, chunk) in chunks.iter().enumerate() {
+            pending.bytes.extend_from_slice(chunk);
+            let got = pending.next_message(FrameMode::Json).unwrap();
+            if i + 1 < chunks.len() {
+                assert!(got.is_none(), "premature message at chunk {i}");
+                // The next read's scan starts where this one stopped.
+                assert_eq!(pending.scanned, pending.bytes.len());
+            } else {
+                assert_eq!(got.as_deref(), Some(line.trim_ascii()));
+            }
+        }
+        assert!(pending.bytes.is_empty());
+        assert_eq!(pending.scanned, 0);
     }
 
     #[test]
@@ -1201,23 +1234,26 @@ mod tests {
         let mut wire = (payload.len() as u32).to_le_bytes().to_vec();
         wire.extend_from_slice(&payload);
         // Feed the frame one byte at a time: no message until complete.
-        let mut pending: Vec<u8> = Vec::new();
+        let mut pending = Pending::default();
         for (i, b) in wire.iter().enumerate() {
-            pending.push(*b);
-            let got = next_message(&mut pending, FrameMode::Binary).unwrap();
+            pending.bytes.push(*b);
+            let got = pending.next_message(FrameMode::Binary).unwrap();
             if i + 1 < wire.len() {
                 assert!(got.is_none(), "premature message at byte {i}");
             } else {
                 assert_eq!(got.as_deref(), Some(payload.as_slice()));
             }
         }
-        assert!(pending.is_empty());
+        assert!(pending.bytes.is_empty());
     }
 
     #[test]
     fn oversized_binary_frames_are_rejected() {
-        let mut pending = (frame::MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        pending.extend_from_slice(&[0; 16]);
-        assert!(next_message(&mut pending, FrameMode::Binary).is_err());
+        let mut pending = Pending::default();
+        pending
+            .bytes
+            .extend_from_slice(&(frame::MAX_FRAME_LEN + 1).to_le_bytes());
+        pending.bytes.extend_from_slice(&[0; 16]);
+        assert!(pending.next_message(FrameMode::Binary).is_err());
     }
 }

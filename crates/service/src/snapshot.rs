@@ -24,6 +24,11 @@
 //! entry carries them empty/zero. A version bump is required for any
 //! layout change; an unknown version is refused (the caller falls back
 //! to a cold start).
+//!
+//! A canonicalizer change that moves canonical forms is not a layout
+//! change, so the version stays 1. An entry whose form moved can never
+//! match, because every hit compares certificates; it ages out of its
+//! shard's LRU.
 
 use bisched_core::{Guarantee, SolveReport};
 use bisched_model::{Rat, Schedule};
