@@ -10,8 +10,8 @@
 //!                          [--bnb-deadline-ms <ms>] [--race-deadline-ms <ms>]
 //!                          [--exact-budget <mass>] [--trace-out <file>]
 //!                          [--profile-out <file>] [--json]
-//! bisched_cli serve [--addr <host:port>] [--workers <n>] [--batch <b>]
-//!                   [--cache-cap <n>] [--queue-cap <n>] [--shards <n>]
+//! bisched_cli serve [--addr <host:port>] [--workers <n>] [--cache-cap <n>]
+//!                   [--queue-cap <n>] [--shards <n>]
 //!                   [--cache-snapshot <path>] [--log-level <level>]
 //!                   [--log-json] [--exemplar-k <n>] [--exemplar-window-s <s>]
 //! bisched_cli submit --addr <host:port> <file.jsonl> [--repeat <k>]
@@ -56,8 +56,11 @@
 //!
 //! Instances use the text format of `bisched_model::io` (see its docs).
 //! `serve` runs the `bisched-service` daemon until a `shutdown` request
-//! arrives (`--shards N` splits it into N independent cache/queue/worker
-//! shards routed by canonical fingerprint, `--cache-snapshot <path>`
+//! arrives (`--workers N` sets the concurrent solves, split across shards
+//! as solve slots, `--queue-cap K` how many misses may wait for a slot per
+//! shard before the next is answered `busy`, `--shards N` splits it into
+//! N independent cache/solve-slot shards routed by canonical fingerprint,
+//! `--cache-snapshot <path>`
 //! persists every shard's cache on drain and warm-starts the next boot
 //! from it, `--log-level error|warn|info|debug|trace` tunes its stderr
 //! logging, `--log-json` switches it to one JSON object per line, and
@@ -133,8 +136,8 @@ const USAGE: &str = "usage:
                            [--bnb-deadline-ms <ms>] [--race-deadline-ms <ms>]
                            [--exact-budget <mass>] [--trace-out <file>]
                            [--profile-out <file>] [--json]
-  bisched_cli serve [--addr <host:port>] [--workers <n>] [--batch <b>]
-                    [--cache-cap <n>] [--queue-cap <n>] [--shards <n>]
+  bisched_cli serve [--addr <host:port>] [--workers <n>] [--cache-cap <n>]
+                    [--queue-cap <n>] [--shards <n>]
                     [--cache-snapshot <path>]
                     [--log-level error|warn|info|debug|trace] [--log-json]
                     [--exemplar-k <n>] [--exemplar-window-s <s>]
@@ -418,7 +421,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--addr" => opts.addr = parse(it.next(), "--addr value")?,
             "--workers" => opts.workers = parse(it.next(), "--workers value")?,
-            "--batch" => opts.batch = parse(it.next(), "--batch value")?,
             "--cache-cap" => opts.cache_cap = parse(it.next(), "--cache-cap value")?,
             "--queue-cap" => opts.queue_cap = parse(it.next(), "--queue-cap value")?,
             "--log-level" => {

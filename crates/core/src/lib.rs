@@ -17,8 +17,7 @@
 //! * [`reduction_thm8`] / [`reduction_thm24`] — the executable gap
 //!   reductions behind the inapproximability results;
 //! * [`solver`] — the configurable [`Solver`] engine dispatching over all
-//!   of the above (typed [`Guarantee`]s, method policies, solve reports,
-//!   batch solving).
+//!   of the above (typed [`Guarantee`]s, method policies, solve reports).
 
 #![warn(missing_docs)]
 pub mod alg1_sqrt;

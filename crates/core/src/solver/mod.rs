@@ -48,8 +48,7 @@
 //! user-chosen set concurrently — members share a cancellation flag and a
 //! running incumbent bound through [`bisched_exact::SearchCtl`], the first
 //! proven-optimal answer cancels the rest, and the kept schedule is never
-//! worse than any member's. Bulk workloads go through
-//! [`Solver::solve_batch`].
+//! worse than any member's.
 
 mod config;
 mod engines;
@@ -74,7 +73,6 @@ use bisched_model::{
     capacity_lower_bound, unrelated_lower_bound, Instance, MachineEnvironment, Rat,
 };
 use bisched_obs::names;
-use rayon::prelude::*;
 
 use engines::{run_method, run_method_ctl, EngineFailure, EngineSolution};
 
@@ -208,18 +206,6 @@ impl Solver {
             race_time,
             seed: self.config.seed,
         })
-    }
-
-    /// Solves a batch of instances, one report (or error) per instance,
-    /// **in input order**.
-    ///
-    /// The batch fans out over rayon (`Solver` is `Send + Sync`, so one
-    /// solver serves every worker); indexed collection keeps the output
-    /// deterministic and identical to solving the slice sequentially.
-    /// This is the hot path of `bisched-service`'s micro-batching worker
-    /// pool.
-    pub fn solve_batch(&self, instances: &[Instance]) -> Vec<Result<SolveReport, SolveError>> {
-        instances.par_iter().map(|inst| self.solve(inst)).collect()
     }
 
     /// Runs one engine, recording the attempt; returns the solution when
@@ -612,9 +598,9 @@ fn graph_blind_lower_bound(inst: &Instance) -> Rat {
     }
 }
 
-// `Solver` is shared across the service's worker threads and `SolveReport`s
-// cross thread boundaries through its response channels; keep both facts
-// checked at compile time.
+// A `Solver` is shared across the portfolio race's threads, and the
+// service shares `SolveReport`s between connection threads through its
+// caches; keep both facts checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Solver>();
@@ -1013,18 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_solves_in_order() {
-        let a = Instance::identical(2, vec![1, 2], Graph::empty(2)).unwrap();
-        let b = Instance::identical(1, vec![1, 1], Graph::from_edges(2, &[(0, 1)])).unwrap();
-        let c = Instance::unrelated(vec![vec![1, 2], vec![2, 1]], Graph::path(2)).unwrap();
-        let reports = solver().solve_batch(&[a, b, c]);
-        assert_eq!(reports.len(), 3);
-        assert!(reports[0].is_ok());
-        assert_eq!(reports[1].as_ref().unwrap_err(), &SolveError::Infeasible);
-        assert_eq!(reports[2].as_ref().unwrap().guarantee, Guarantee::Optimal);
-    }
-
-    #[test]
     fn errors_bubble_up() {
         let odd = Instance::identical(3, vec![1; 5], Graph::cycle(5)).unwrap();
         assert_eq!(solver().solve(&odd).unwrap_err(), SolveError::NotBipartite);
@@ -1050,56 +1024,5 @@ mod tests {
             SolverConfig::new().portfolio(vec![]).build(),
             Err(SolveError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_on_64_instances() {
-        use bisched_model::{JobSizes, SpeedProfile, UnrelatedFamily};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(0xBA7C4);
-        let mut instances = Vec::new();
-        for k in 0..64u64 {
-            let n = 6 + (k as usize % 7);
-            let g = bisched_graph::gilbert_bipartite(n / 2, n - n / 2, 0.4, &mut rng);
-            let inst = match k % 3 {
-                0 => Instance::identical(
-                    2 + (k as usize % 3),
-                    JobSizes::Uniform { lo: 1, hi: 20 }.sample(n, &mut rng),
-                    g,
-                ),
-                1 => Instance::uniform(
-                    SpeedProfile::Geometric { ratio: 2 }.speeds(2 + (k as usize % 3)),
-                    JobSizes::Uniform { lo: 1, hi: 20 }.sample(n, &mut rng),
-                    g,
-                ),
-                _ => {
-                    let m = 2 + rng.gen_range(0..2usize);
-                    Instance::unrelated(
-                        UnrelatedFamily::Uncorrelated { lo: 1, hi: 30 }.sample(m, n, &mut rng),
-                        g,
-                    )
-                }
-            }
-            .unwrap();
-            instances.push(inst);
-        }
-        let s = solver();
-        let batch = s.solve_batch(&instances);
-        let sequential: Vec<_> = instances.iter().map(|inst| s.solve(inst)).collect();
-        assert_eq!(batch.len(), sequential.len());
-        for (b, q) in batch.iter().zip(&sequential) {
-            match (b, q) {
-                (Ok(br), Ok(qr)) => {
-                    assert_eq!(br.makespan, qr.makespan);
-                    assert_eq!(br.method, qr.method);
-                    assert_eq!(br.guarantee, qr.guarantee);
-                    assert_eq!(br.schedule.assignment(), qr.schedule.assignment());
-                }
-                (Err(be), Err(qe)) => assert_eq!(be, qe),
-                other => panic!("batch/sequential disagree: {other:?}"),
-            }
-        }
     }
 }

@@ -136,7 +136,6 @@ fn run_cell(shards: usize, corpus: Arc<Vec<Keyed>>, params: &ServiceScalingParam
     let service = match Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: shards,
-        batch: 4,
         cache_cap: corpus.len().max(64),
         queue_cap: 1024,
         shards,

@@ -4,9 +4,9 @@
 //! [`check`] runs a closure under a **deterministic controlled
 //! scheduler**: every operation on a [`crate::sync`] facade type
 //! (atomic load/store/RMW, `UnsafeCell` access, mutex lock/unlock,
-//! spawn/join) is a scheduling point where exactly one thread is allowed
-//! to proceed. A depth-first search over those choices enumerates every
-//! interleaving, subject to:
+//! condvar wait/notify, spawn/join) is a scheduling point where exactly
+//! one thread is allowed to proceed. A depth-first search over those
+//! choices enumerates every interleaving, subject to:
 //!
 //! * a **preemption bound** (context switches away from a runnable
 //!   thread): classic Musuvathi–Qadeer bounding, since almost all
@@ -25,10 +25,11 @@
 //! tracked precisely with vector clocks: `Release` stores publish the
 //! writer's clock, `Acquire` loads join it, RMWs continue release
 //! sequences, mutexes release/acquire at unlock/lock, spawn/join edges
-//! are inherited. Every [`crate::sync::UnsafeCell`] access is checked
-//! for happens-before data-race freedom against that clock order — a
-//! torn read is reported even though the *values* explored are SC. This
-//! is the loom approach: it cannot exhibit stale-value executions, but
+//! are inherited, and a condvar wait is an unlock followed, once a
+//! notify picks the waiter, by a lock. Every
+//! [`crate::sync::UnsafeCell`] access is checked for happens-before
+//! data-race freedom against that clock order — a torn read is reported
+//! even though the *values* explored are SC. This is the loom approach: it cannot exhibit stale-value executions, but
 //! it catches exactly the class of bug that breaks the workspace's
 //! protocols (publishing data through an insufficiently-ordered flag),
 //! and the `Relaxed`-publish mutation suites pin that it does.
@@ -211,6 +212,30 @@ pub(crate) fn mutex_unlock(addr: usize) {
     exec.scheduled_op(tid, Pending::MutexUnlock { addr }, || 0);
 }
 
+/// Facade hook: the start of a condvar wait. Joins `cv`'s waiters while
+/// the caller still holds the mutex, so no notify slips in before the
+/// caller unlocks; the caller's next lock is held back until a notify
+/// picks it. Returns `false` outside a model run, where the caller waits
+/// on the native condvar instead.
+pub(crate) fn condvar_wait(cv: usize) -> bool {
+    let Some((exec, tid)) = current() else {
+        return false;
+    };
+    exec.scheduled_op(tid, Pending::CondvarWait { cv }, || 0);
+    true
+}
+
+/// Facade hook: `notify_one` (`all == false`) or `notify_all` on `cv`.
+/// Returns `false` outside a model run, where the caller notifies the
+/// native condvar instead.
+pub(crate) fn condvar_notify(cv: usize, all: bool) -> bool {
+    let Some((exec, tid)) = current() else {
+        return false;
+    };
+    exec.scheduled_op(tid, Pending::Notify { cv, all }, || 0);
+    true
+}
+
 /// Spawns a model thread. Must be called from inside a [`check`]
 /// closure; the child participates in the controlled schedule.
 pub fn spawn<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
@@ -313,6 +338,13 @@ enum Pending {
     MutexUnlock {
         addr: usize,
     },
+    CondvarWait {
+        cv: usize,
+    },
+    Notify {
+        cv: usize,
+        all: bool,
+    },
     Join {
         target: usize,
     },
@@ -389,6 +421,8 @@ struct St {
     atomics: HashMap<u32, AtomicLoc>,
     cells: HashMap<u32, CellLoc>,
     mutexes: HashMap<u32, MutexLoc>,
+    /// Per condvar, the threads waiting for a notify, longest first.
+    condvars: HashMap<u32, Vec<usize>>,
 }
 
 struct ThreadSlot {
@@ -424,6 +458,7 @@ impl St {
             atomics: HashMap::new(),
             cells: HashMap::new(),
             mutexes: HashMap::new(),
+            condvars: HashMap::new(),
         }
     }
 
@@ -513,17 +548,27 @@ impl St {
             }
             h = h.wrapping_add(lh);
         }
+        for (&id, waiters) in &self.condvars {
+            let mut lh = mix(self.fingerprint(id), 0x632be59bd9b4e019);
+            for &t in waiters {
+                lh = mix(lh, t as u64);
+            }
+            h = h.wrapping_add(lh);
+        }
         h
     }
 
-    /// Whether `pending` can run right now (mutex free, join target
-    /// finished, …).
-    fn runnable(&self, pending: &Pending) -> bool {
+    /// Whether `tid`'s `pending` can run right now (mutex free and, after
+    /// a condvar wait, notified; join target finished; …).
+    fn runnable(&self, tid: usize, pending: &Pending) -> bool {
         match pending {
-            Pending::MutexLock { addr } => match self.addr_ids.get(addr) {
-                Some(id) => self.mutexes.get(id).is_none_or(|m| m.owner.is_none()),
-                None => true,
-            },
+            Pending::MutexLock { addr } => {
+                let free = match self.addr_ids.get(addr) {
+                    Some(id) => self.mutexes.get(id).is_none_or(|m| m.owner.is_none()),
+                    None => true,
+                };
+                free && !self.condvars.values().any(|w| w.contains(&tid))
+            }
             Pending::Join { target } => {
                 matches!(self.threads[*target].status, Status::Finished)
             }
@@ -550,6 +595,8 @@ impl St {
             }
             Pending::MutexLock { addr } => ("mutex.lock", Some(*addr)),
             Pending::MutexUnlock { addr } => ("mutex.unlock", Some(*addr)),
+            Pending::CondvarWait { cv } => ("condvar.wait", Some(*cv)),
+            Pending::Notify { cv, .. } => ("condvar.notify", Some(*cv)),
             Pending::Join { .. } => ("join", None),
         };
         let id = addr.map(|a| self.intern(a, tid, desc));
@@ -672,6 +719,16 @@ impl St {
                 m.release = clock;
                 Ok(val)
             }
+            Pending::CondvarWait { .. } => {
+                self.condvars.entry(id.unwrap()).or_default().push(tid);
+                Ok(val)
+            }
+            Pending::Notify { all, .. } => {
+                let waiters = self.condvars.entry(id.unwrap()).or_default();
+                let woken = if *all { waiters.len() } else { 1 };
+                waiters.drain(..woken.min(waiters.len()));
+                Ok(val)
+            }
         }
     }
 }
@@ -710,6 +767,12 @@ impl Exec {
         }
         if st.aborting {
             self.cv.notify_all();
+            if std::thread::panicking() {
+                // A destructor running while this thread unwinds out of
+                // the abandoned run: do the op natively, since a second
+                // panic would abort the process.
+                return native();
+            }
             drop(st);
             std::panic::panic_any(AbortToken);
         }
@@ -718,6 +781,9 @@ impl Exec {
         loop {
             if st.aborting {
                 st.threads[tid].status = Status::Running;
+                if std::thread::panicking() {
+                    return native();
+                }
                 drop(st);
                 std::panic::panic_any(AbortToken);
             }
@@ -818,7 +884,7 @@ fn drive(
             .iter()
             .enumerate()
             .filter_map(|(tid, t)| match &t.status {
-                Status::Wants(p) if st.runnable(p) => Some(tid),
+                Status::Wants(p) if st.runnable(tid, p) => Some(tid),
                 _ => None,
             })
             .collect();

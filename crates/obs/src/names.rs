@@ -45,9 +45,7 @@ pub const CACHE_HIT: EventName = EventName("cache_hit");
 pub const CACHE_MISS: EventName = EventName("cache_miss");
 /// Instant: a cache insert evicted the least recently used entry.
 pub const CACHE_EVICT: EventName = EventName("cache_evict");
-/// Span: one worker micro-batch.
-pub const BATCH: EventName = EventName("batch");
-/// Instant: a job of a batch was settled.
+/// Instant: a fresh solve's report was cached.
 pub const JOB_DONE: EventName = EventName("job_done");
 
 // Solver dispatch and portfolio race.

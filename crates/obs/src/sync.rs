@@ -1,10 +1,11 @@
 //! The workspace's concurrency facade: `std::sync` types by day, a
 //! model-checked instrumented runtime by night.
 //!
-//! Every lock-free protocol in the workspace — the flight recorder's
+//! Every concurrent protocol in the workspace — the flight recorder's
 //! [`Ring`](crate::ring::Ring), `bisched_exact::SearchCtl`'s f64-bits
-//! bound exchange, the service's shutdown/queue handoff — imports its
-//! atomics, cells, and mutexes from here instead of `std`:
+//! bound exchange, the service's per-shard solve-slot semaphore —
+//! imports its atomics, cells, mutexes and condition variables from here
+//! instead of `std`:
 //!
 //! * In a **normal build** every name in this module *is* the `std` item
 //!   (a re-export) or a `#[repr(transparent)]` zero-cost wrapper whose
@@ -31,7 +32,7 @@ pub use std::sync::atomic::Ordering;
 #[cfg(not(bisched_model))]
 mod imp {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-    pub use std::sync::{Mutex, MutexGuard};
+    pub use std::sync::{Condvar, Mutex, MutexGuard};
 
     /// [`std::cell::UnsafeCell`] behind loom-style access closures, so
     /// the `bisched_model` build can observe (and race-check) every
@@ -316,7 +317,7 @@ mod imp {
     /// scheduler-visible unlock operation.
     pub struct MutexGuard<'a, T> {
         inner: Option<std::sync::MutexGuard<'a, T>>,
-        addr: usize,
+        mutex: &'a Mutex<T>,
     }
 
     impl<T> Mutex<T> {
@@ -332,18 +333,17 @@ mod imp {
         /// lock holders, so the native mutex is never contended or
         /// poisoned there).
         pub fn lock(&self) -> std::sync::LockResult<MutexGuard<'_, T>> {
-            let addr = self as *const _ as usize;
-            model::mutex_lock(addr);
+            model::mutex_lock(self as *const _ as usize);
             match self.native.lock() {
                 Ok(inner) => Ok(MutexGuard {
                     inner: Some(inner),
-                    addr,
+                    mutex: self,
                 }),
                 Err(poison) => {
                     let inner = poison.into_inner();
                     Err(std::sync::PoisonError::new(MutexGuard {
                         inner: Some(inner),
-                        addr,
+                        mutex: self,
                     }))
                 }
             }
@@ -378,7 +378,66 @@ mod imp {
             // Release the native guard first so the scheduler-visible
             // unlock hands a genuinely free mutex to the next thread.
             drop(self.inner.take());
-            model::mutex_unlock(self.addr);
+            model::mutex_unlock(self.mutex as *const Mutex<T> as usize);
+        }
+    }
+
+    /// Model-checked stand-in for [`std::sync::Condvar`]. Inside a model
+    /// run, [`wait`](Condvar::wait) joins the condvar's waiters, unlocks,
+    /// and locks again, and the scheduler holds that lock back until a
+    /// notify (a scheduling point) picks the waiter. A waiter that is
+    /// never notified therefore shows up as the checker's deadlock
+    /// violation instead of a hang. Spurious wake-ups are not modelled;
+    /// `notify_one` wakes the longest waiter.
+    #[derive(Debug, Default)]
+    pub struct Condvar {
+        native: std::sync::Condvar,
+    }
+
+    impl Condvar {
+        /// Creates a new condition variable (const, like the `std` type).
+        pub const fn new() -> Self {
+            Condvar {
+                native: std::sync::Condvar::new(),
+            }
+        }
+
+        /// Instrumented `wait`: releases `guard`'s mutex, blocks until
+        /// notified, and returns with the mutex held again.
+        pub fn wait<'a, T>(
+            &self,
+            mut guard: MutexGuard<'a, T>,
+        ) -> std::sync::LockResult<MutexGuard<'a, T>> {
+            if model::condvar_wait(self as *const _ as usize) {
+                let mutex = guard.mutex;
+                drop(guard);
+                return mutex.lock();
+            }
+            let inner = guard.inner.take().expect("guard accessed after drop");
+            match self.native.wait(inner) {
+                Ok(inner) => {
+                    guard.inner = Some(inner);
+                    Ok(guard)
+                }
+                Err(poison) => {
+                    guard.inner = Some(poison.into_inner());
+                    Err(std::sync::PoisonError::new(guard))
+                }
+            }
+        }
+
+        /// Instrumented `notify_one`.
+        pub fn notify_one(&self) {
+            if !model::condvar_notify(self as *const _ as usize, false) {
+                self.native.notify_one();
+            }
+        }
+
+        /// Instrumented `notify_all`.
+        pub fn notify_all(&self) {
+            if !model::condvar_notify(self as *const _ as usize, true) {
+                self.native.notify_all();
+            }
         }
     }
 }

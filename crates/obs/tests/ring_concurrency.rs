@@ -109,7 +109,7 @@ fn concurrent_emission_with_spans_keeps_nesting_sane() {
         for _ in 0..4 {
             scope.spawn(|| {
                 for i in 0..50u64 {
-                    let _s = bisched_obs::span_arg(names::BATCH, "test", "i", i);
+                    let _s = bisched_obs::span_arg(names::SOLVE_REQUEST, "test", "i", i);
                     bisched_obs::instant(names::JOB_DONE, "test", "i", i);
                 }
             });

@@ -5,7 +5,7 @@
 //! the global flight recorder.
 //!
 //! The span trees are assembled explicitly by the connection handler
-//! from measured phase boundaries (canonicalize / queue / solve) and the
+//! from measured phase boundaries (canonicalize / slot wait / solve) and the
 //! [`SolveReport`](bisched_core::SolveReport)'s per-engine attempts, not
 //! drained from the recorder: capture therefore costs a few allocations
 //! per request and works whether or not recording is on.
@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 /// One node of an exemplar's span tree.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SpanData {
-    /// Span name (`solve_request`, `canonicalize`, `queue`,
-    /// `solve_batch`, or an engine name).
+    /// Span name (`solve_request`, `canonicalize`, `slot_wait`, `solve`,
+    /// or an engine name).
     pub name: String,
     /// Start offset from the request's arrival, milliseconds.
     pub start_ms: f64,

@@ -27,8 +27,15 @@ use serde_json::{Map, Number, Value};
 
 /// Maximum accepted frame payload (16 MiB): large enough for any real
 /// instance or response, small enough that a corrupt length prefix
-/// cannot make the server allocate unboundedly.
+/// cannot make the server allocate unboundedly. JSON-lines connections
+/// cap a line at the same length.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
+
+/// Deepest nesting of arrays and objects [`decode_value`] accepts, the
+/// same limit as the JSON parser's. The decoder recurses once per level,
+/// so the limit keeps a frame of nested array tags from overflowing the
+/// stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// Encodes one value into the tagged binary form, appending to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -79,17 +86,24 @@ fn encode_str(s: &str, out: &mut Vec<u8>) {
 
 /// Decodes one value from `buf`, which must contain exactly one encoded
 /// value (the frame layer has already stripped the length prefix).
+/// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn decode_value(buf: &[u8]) -> Result<Value, String> {
     let mut pos = 0;
-    let v = decode(buf, &mut pos)?;
+    let v = decode(buf, &mut pos, 0)?;
     if pos != buf.len() {
         return Err(format!("trailing bytes in frame at offset {pos}"));
     }
     Ok(v)
 }
 
-fn decode(buf: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Decodes one value whose enclosing arrays and objects number `depth`.
+fn decode(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     let tag = *buf.get(*pos).ok_or("truncated frame: missing tag")?;
+    if matches!(tag, 7 | 8) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "frame nesting exceeds the recursion limit of {MAX_DEPTH} at offset {pos}"
+        ));
+    }
     *pos += 1;
     Ok(match tag {
         0 => Value::Null,
@@ -103,7 +117,7 @@ fn decode(buf: &[u8], pos: &mut usize) -> Result<Value, String> {
             let count = decode_len(buf, pos)?;
             let mut items = Vec::new();
             for _ in 0..count {
-                items.push(decode(buf, pos)?);
+                items.push(decode(buf, pos, depth + 1)?);
             }
             Value::Array(items)
         }
@@ -112,7 +126,7 @@ fn decode(buf: &[u8], pos: &mut usize) -> Result<Value, String> {
             let mut map = Map::new();
             for _ in 0..count {
                 let k = decode_str(buf, pos)?;
-                let v = decode(buf, pos)?;
+                let v = decode(buf, pos, depth + 1)?;
                 map.insert(k, v);
             }
             Value::Object(map)
@@ -203,6 +217,28 @@ mod tests {
         encode_value(&big, &mut bin);
         let json = serde_json::to_string(&big).unwrap();
         assert!(bin.len() < json.len());
+    }
+
+    /// `depth` copies of the one-element container `level` around a `null`.
+    fn nested(level: &[u8], depth: usize) -> Vec<u8> {
+        let mut buf = level.repeat(depth);
+        buf.push(0);
+        buf
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let array = [7, 1, 0, 0, 0];
+        let object = [8, 1, 0, 0, 0, 1, 0, 0, 0, b'k'];
+        for level in [&array[..], &object[..]] {
+            assert!(decode_value(&nested(level, MAX_DEPTH)).is_ok());
+            let err = decode_value(&nested(level, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("recursion limit"), "{err}");
+        }
+        // Two million levels stop at the limit instead of overflowing the
+        // stack.
+        let err = decode_value(&nested(&array, 2_000_000)).unwrap_err();
+        assert!(err.contains("recursion limit"), "{err}");
     }
 
     #[test]

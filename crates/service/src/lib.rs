@@ -7,9 +7,9 @@
 //!
 //! * **Sharded front end** — the service runs as N independent shards;
 //!   every solve request routes by its canonical 128-bit fingerprint
-//!   (`fingerprint % shards`), and each shard owns its own cache, queue,
-//!   worker pool, histograms, and exemplar ring, so the solve hot path
-//!   crosses no shard boundary and no global lock.
+//!   (`fingerprint % shards`), and each shard owns its own cache, solve
+//!   slots, histograms, and exemplar ring, so the solve hot path crosses
+//!   no shard boundary and no global lock.
 //! * **Canonicalization cache** — every instance is reduced to the
 //!   normal form of [`bisched_model::canonical`] and memoized in a
 //!   bounded LRU keyed by its 128-bit fingerprint, so repeated *and
@@ -21,20 +21,23 @@
 //!   shutdown writes every shard's cache entries to a versioned binary
 //!   file and the next boot reloads them (re-bucketed by route, so the
 //!   shard count may change between runs).
-//! * **Micro-batching worker pools** — per shard, `max(1, workers /
-//!   shards)` solver threads over a bounded MPSC queue. A miss that
-//!   finds fewer solves running than the shard has workers is solved on
-//!   its connection's thread; the rest queue. A worker that finds a
-//!   backlog drains up to B queued requests into one
-//!   [`Solver::solve_batch`](bisched_core::Solver::solve_batch) call,
-//!   and one that had to wait for work takes the request that woke it
-//!   alone.
-//! * **Backpressure** — a full shard queue yields a typed `busy`
-//!   response instead of unbounded buffering.
+//! * **One solve path** — every request is served on its connection's
+//!   thread. A cache miss takes one of its shard's `max(1, workers /
+//!   shards)` solve slots, or waits for one, and then calls
+//!   [`Solver::solve`](bisched_core::Solver::solve) in place (see
+//!   [`slots`]).
+//! * **Backpressure** — at most `queue_cap` misses wait per shard; the
+//!   next one gets a typed `busy` response instead of unbounded
+//!   buffering.
+//! * **Bounded input** — a JSON line or binary frame is at most
+//!   [`frame::MAX_FRAME_LEN`] bytes and nests at most
+//!   [`frame::MAX_DEPTH`] arrays and objects deep; past either limit the
+//!   request gets a typed `error` (depth) or the connection is dropped
+//!   (length), and the daemon keeps serving.
 //! * **Stats** — the `stats` verb (and shutdown log) reports cross-shard
 //!   totals plus a per-shard breakdown: requests, hit rates, p50/p99.
-//! * **Graceful shutdown** — the `shutdown` verb stops intake, drains
-//!   every shard's accepted requests, and joins all threads. No
+//! * **Graceful shutdown** — the `shutdown` verb stops intake, lets
+//!   every admitted miss finish, and joins all threads. No
 //!   connect-to-self tricks: the accept loop is a non-blocking poll.
 //!
 //! ## Scaling the service
@@ -79,8 +82,8 @@ pub mod frame;
 pub mod metrics;
 pub mod protocol;
 pub mod server;
+pub mod slots;
 mod snapshot;
-mod worker;
 
 pub use cache::{CacheCounters, LruCache};
 pub use client::{Client, ClientError};

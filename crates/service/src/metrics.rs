@@ -110,8 +110,7 @@ pub const METRIC_NAMES: &[&str] = &[
     "bisched_solved_total",
     "bisched_errors_total",
     "bisched_busy_total",
-    "bisched_batches_total",
-    "bisched_batched_jobs_total",
+    "bisched_solves_total",
     "bisched_cache_hits_total",
     "bisched_cache_misses_total",
     "bisched_cache_evictions_total",
@@ -120,15 +119,14 @@ pub const METRIC_NAMES: &[&str] = &[
     "bisched_method_wins_total",
     "bisched_method_cancelled_total",
     "bisched_request_latency_seconds",
-    "bisched_queue_wait_seconds",
+    "bisched_slot_wait_seconds",
     "bisched_solve_time_seconds",
     "bisched_canonicalize_seconds",
     "bisched_shard_requests_total",
     "bisched_shard_cache_hit_ratio",
 ];
 
-/// Aggregate service metrics; one instance shared by every handler and
-/// worker thread.
+/// One shard's service metrics, shared by every connection thread.
 #[derive(Debug)]
 pub struct Metrics {
     /// All requests received, any verb.
@@ -139,18 +137,14 @@ pub struct Metrics {
     pub errors: AtomicU64,
     /// Solve requests rejected with `busy`.
     pub busy: AtomicU64,
-    /// Micro-batches executed by the worker pool.
-    pub batches: AtomicU64,
-    /// Jobs carried by those batches.
-    pub batched_jobs: AtomicU64,
+    /// Fresh solves run (cache misses that got a solve slot).
+    pub solves: AtomicU64,
     started: Instant,
     hist: Mutex<LatencyHist>,
-    /// Time solve jobs spent waiting in the bounded queue before a worker
-    /// drained them (cache hits never enqueue, so never appear here).
-    queue_hist: Mutex<LatencyHist>,
-    /// Wall time of the micro-batch `solve_batch` call that carried each
-    /// job — the latency the job actually experienced while solving,
-    /// batch-mates included.
+    /// Time each miss waited for a solve slot, about 0 µs when one was
+    /// free (cache hits never take a slot, so never appear here).
+    slot_wait_hist: Mutex<LatencyHist>,
+    /// Wall time of each fresh solve.
     solve_hist: Mutex<LatencyHist>,
     /// Time `canonicalize` took on each routed solve request. It runs
     /// before the cache lookup, so cache hits are included.
@@ -170,11 +164,10 @@ impl Default for Metrics {
             solved: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             busy: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
+            solves: AtomicU64::new(0),
             started: Instant::now(),
             hist: Mutex::new(LatencyHist::default()),
-            queue_hist: Mutex::new(LatencyHist::default()),
+            slot_wait_hist: Mutex::new(LatencyHist::default()),
             solve_hist: Mutex::new(LatencyHist::default()),
             canon_hist: Mutex::new(LatencyHist::default()),
             wins: Mutex::new(HashMap::new()),
@@ -189,13 +182,12 @@ impl Metrics {
         self.hist.lock().unwrap().record(micros);
     }
 
-    /// Records how long one job sat queued before a worker drained it.
-    pub fn record_queue_wait(&self, micros: u64) {
-        self.queue_hist.lock().unwrap().record(micros);
+    /// Records how long one miss waited for a solve slot.
+    pub fn record_slot_wait(&self, micros: u64) {
+        self.slot_wait_hist.lock().unwrap().record(micros);
     }
 
-    /// Records the solve-phase wall time one job experienced (its whole
-    /// micro-batch's `solve_batch` duration).
+    /// Records the wall time of one fresh solve.
     pub fn record_solve_time(&self, micros: u64) {
         self.solve_hist.lock().unwrap().record(micros);
     }
@@ -238,12 +230,11 @@ struct Totals {
     solved: u64,
     errors: u64,
     busy: u64,
-    batches: u64,
-    batched_jobs: u64,
+    solves: u64,
     cache: crate::cache::CacheCounters,
     cache_len: usize,
     hist: LatencyHist,
-    queue_hist: LatencyHist,
+    slot_wait_hist: LatencyHist,
     solve_hist: LatencyHist,
     canon_hist: LatencyHist,
     wins: HashMap<Method, u64>,
@@ -258,12 +249,11 @@ impl Totals {
             solved: 0,
             errors: 0,
             busy: 0,
-            batches: 0,
-            batched_jobs: 0,
+            solves: 0,
             cache: crate::cache::CacheCounters::default(),
             cache_len: 0,
             hist: LatencyHist::default(),
-            queue_hist: LatencyHist::default(),
+            slot_wait_hist: LatencyHist::default(),
             solve_hist: LatencyHist::default(),
             canon_hist: LatencyHist::default(),
             wins: HashMap::new(),
@@ -276,15 +266,14 @@ impl Totals {
             t.solved += m.solved.load(Ordering::Relaxed);
             t.errors += m.errors.load(Ordering::Relaxed);
             t.busy += m.busy.load(Ordering::Relaxed);
-            t.batches += m.batches.load(Ordering::Relaxed);
-            t.batched_jobs += m.batched_jobs.load(Ordering::Relaxed);
+            t.solves += m.solves.load(Ordering::Relaxed);
             t.cache.hits += v.cache.hits;
             t.cache.misses += v.cache.misses;
             t.cache.evictions += v.cache.evictions;
             t.cache.insertions += v.cache.insertions;
             t.cache_len += v.cache_len;
             t.hist.merge(&m.hist.lock().unwrap());
-            t.queue_hist.merge(&m.queue_hist.lock().unwrap());
+            t.slot_wait_hist.merge(&m.slot_wait_hist.lock().unwrap());
             t.solve_hist.merge(&m.solve_hist.lock().unwrap());
             t.canon_hist.merge(&m.canon_hist.lock().unwrap());
             for (&method, &n) in m.wins.lock().unwrap().iter() {
@@ -359,12 +348,13 @@ pub fn snapshot_sharded(shards: &[ShardView]) -> StatsData {
         cache_evictions: t.cache.evictions,
         cache_len: t.cache_len as u64,
         hit_rate: hit_rate(t.cache.hits, t.cache.misses),
-        batches: t.batches,
-        batched_jobs: t.batched_jobs,
+        // Both legacy keys count fresh solves (one solve per "batch").
+        batches: t.solves,
+        batched_jobs: t.solves,
         p50_ms: t.hist.quantile_ms(0.50),
         p99_ms: t.hist.quantile_ms(0.99),
-        queue_p50_ms: t.queue_hist.quantile_ms(0.50),
-        queue_p99_ms: t.queue_hist.quantile_ms(0.99),
+        queue_p50_ms: t.slot_wait_hist.quantile_ms(0.50),
+        queue_p99_ms: t.slot_wait_hist.quantile_ms(0.99),
         solve_p50_ms: t.solve_hist.quantile_ms(0.50),
         solve_p99_ms: t.solve_hist.quantile_ms(0.99),
         canon_p50_ms: t.canon_hist.quantile_ms(0.50),
@@ -418,15 +408,9 @@ pub fn prometheus_sharded(shards: &[ShardView]) -> String {
     );
     counter(
         &mut out,
-        "bisched_batches_total",
-        "Micro-batches executed by the worker pools.",
-        t.batches,
-    );
-    counter(
-        &mut out,
-        "bisched_batched_jobs_total",
-        "Solve jobs carried by those micro-batches.",
-        t.batched_jobs,
+        "bisched_solves_total",
+        "Fresh solves run (cache misses that got a solve slot).",
+        t.solves,
     );
     counter(
         &mut out,
@@ -478,14 +462,14 @@ pub fn prometheus_sharded(shards: &[ShardView]) -> String {
     );
     prometheus_histogram(
         &mut out,
-        "bisched_queue_wait_seconds",
-        "Time solve jobs waited in the bounded queues.",
-        &t.queue_hist,
+        "bisched_slot_wait_seconds",
+        "Time cache misses waited for a solve slot.",
+        &t.slot_wait_hist,
     );
     prometheus_histogram(
         &mut out,
         "bisched_solve_time_seconds",
-        "Solve-phase wall time jobs experienced (whole micro-batch).",
+        "Wall time of each fresh solve.",
         &t.solve_hist,
     );
     prometheus_histogram(
@@ -676,7 +660,7 @@ mod tests {
     fn snapshot_splits_queue_and_solve_latency() {
         let m = Metrics::default();
         m.record_latency(1_000);
-        m.record_queue_wait(10); // bucket [8, 16): midpoint ≈ 11 µs
+        m.record_slot_wait(10); // bucket [8, 16): midpoint ≈ 11 µs
         m.record_solve_time(900); // bucket [512, 1024): midpoint ≈ 724 µs
         m.record_canonicalize(100); // bucket [64, 128): midpoint ≈ 91 µs
         let s = snapshot_sharded(&[ShardView {
@@ -703,7 +687,8 @@ mod tests {
         m.record_cancelled(Method::BranchAndBound);
         m.record_latency(700);
         m.record_latency(90_000);
-        m.record_queue_wait(40);
+        m.record_slot_wait(40);
+        m.solves.store(2, Ordering::Relaxed);
         m.record_solve_time(650);
         m.record_canonicalize(30);
         let text = prometheus_sharded(&[ShardView {
@@ -727,7 +712,8 @@ mod tests {
         assert!(text.contains("bisched_request_latency_seconds_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("bisched_request_latency_seconds_count 2"));
         assert!(text.contains("bisched_request_latency_seconds_sum 0.0907"));
-        assert!(text.contains("bisched_queue_wait_seconds_count 1"));
+        assert!(text.contains("bisched_solves_total 2"));
+        assert!(text.contains("bisched_slot_wait_seconds_count 1"));
         assert!(text.contains("bisched_solve_time_seconds_count 1"));
         assert!(text.contains("bisched_canonicalize_seconds_count 1"));
         // The declared registry is live: every name in METRIC_NAMES is

@@ -110,7 +110,7 @@ impl Request {
                 config = config.method(name.parse()?);
             }
         }
-        // Validate eagerly so the worker never sees a bad config.
+        // Validate eagerly so a bad config never reaches the solve.
         config.clone().build().map_err(|e| e.to_string())?;
         Ok(config)
     }
@@ -204,7 +204,8 @@ impl Response {
         Response::bare("ok", id)
     }
 
-    /// A typed backpressure rejection: the bounded queue is full.
+    /// A typed backpressure rejection: every solve slot of the shard is
+    /// taken and its wait queue is full.
     pub fn busy(id: Option<u64>) -> Self {
         let mut r = Response::bare("busy", id);
         r.error = Some("request queue is full, retry later".into());
@@ -287,9 +288,11 @@ pub struct StatsData {
     pub cache_len: u64,
     /// `cache_hits / (cache_hits + cache_misses)`, 0 when empty.
     pub hit_rate: f64,
-    /// Micro-batches the worker pool executed.
+    /// Fresh solves run (cache misses that got a solve slot). Kept under
+    /// its old name for existing readers; equals
+    /// [`batched_jobs`](Self::batched_jobs).
     pub batches: u64,
-    /// Solve jobs that went through those batches.
+    /// Fresh solves run; the same count as [`batches`](Self::batches).
     pub batched_jobs: u64,
     /// Median request latency over all `ok` solves, cache hits included,
     /// in milliseconds (log-bucketed; geometric-midpoint estimate).
@@ -297,15 +300,14 @@ pub struct StatsData {
     /// 99th-percentile request latency (same population as
     /// [`p50_ms`](Self::p50_ms)), milliseconds.
     pub p99_ms: f64,
-    /// Median time solve jobs waited in the bounded queue before a
-    /// worker drained them, milliseconds (cache hits never enqueue).
+    /// Median time a cache miss waited for a solve slot, milliseconds
+    /// (about 0 when a slot was free; cache hits never take a slot).
     #[serde(default)]
     pub queue_p50_ms: f64,
-    /// 99th-percentile queue wait, milliseconds.
+    /// 99th-percentile solve-slot wait, milliseconds.
     #[serde(default)]
     pub queue_p99_ms: f64,
-    /// Median solve-phase wall time jobs experienced (their whole
-    /// micro-batch's `solve_batch` duration), milliseconds.
+    /// Median wall time of a fresh solve, milliseconds.
     #[serde(default)]
     pub solve_p50_ms: f64,
     /// 99th-percentile solve-phase wall time, milliseconds.
@@ -348,7 +350,8 @@ pub struct ShardStats {
     pub solved: u64,
     /// Solve requests answered `error` on this shard.
     pub errors: u64,
-    /// Solve requests this shard's bounded queue bounced.
+    /// Solve requests this shard answered `busy` (slots and wait queue
+    /// full).
     pub busy: u64,
     /// Cache hits in this shard's LRU.
     pub cache_hits: u64,

@@ -1,8 +1,15 @@
 //! The daemon: a `std::net` TCP listener in front of N independent
-//! shards, each owning its own LRU cache, bounded queue, worker pool,
-//! latency histograms, and slow-request exemplar ring. Connections speak
-//! JSON lines by default and may negotiate length-prefixed binary frames
-//! via the `upgrade` verb (see `PROTOCOL.md` §v2).
+//! shards, each owning its own LRU cache, solve-slot semaphore, latency
+//! histograms, and slow-request exemplar ring. Connections speak JSON
+//! lines by default and may negotiate length-prefixed binary frames via
+//! the `upgrade` verb (see `PROTOCOL.md` §v2).
+//!
+//! Every request is served on its connection's thread, cache misses
+//! included: a miss takes one of its shard's solve slots, or waits for
+//! one (see [`crate::slots`]), and solves in place. There is no
+//! single-flight deduplication: k *concurrent* identical misses may each
+//! be solved before the first insert lands; every submission after that
+//! is a cache hit.
 //!
 //! Every solve request is routed by its canonical 128-bit fingerprint
 //! (`fingerprint % shard_count`), so isomorphic relabelings of one
@@ -17,17 +24,17 @@
 //! Lifecycle: [`Service::start`] binds and spawns everything (optionally
 //! warm-starting every shard cache from a snapshot file);
 //! [`Service::join`] blocks until a `shutdown` request (or a programmatic
-//! [`Service::shutdown`]) arrives, drains every shard queue, joins every
-//! thread, writes the cache snapshot if one was configured, logs the
-//! final stats to stderr, and returns them.
+//! [`Service::shutdown`]) arrives, lets every admitted miss finish, joins
+//! every thread, writes the cache snapshot if one was configured, logs
+//! the final stats to stderr, and returns them.
 
 use crate::cache::LruCache;
 use crate::exemplar::{ExemplarData, SlowRing, SpanData, TraceData};
 use crate::frame;
 use crate::metrics::{prometheus_sharded, snapshot_sharded, Metrics, ShardView};
 use crate::protocol::{AttemptData, Request, Response, StatsData};
+use crate::slots::{Admission, Slots};
 use crate::snapshot::{self, SnapshotEntry};
-use crate::worker::{process_batch, spawn_shard_workers, Job, JobReply};
 use bisched_core::SolverConfig;
 use bisched_model::canonical::fnv128;
 use bisched_model::canonicalize;
@@ -36,12 +43,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 // Atomics and mutexes come from the workspace concurrency facade (std
 // passthroughs in normal builds; model-checked shims under `--cfg
-// bisched_model` — the queue/cache handoff is mirrored and explored by
-// the `model_service_handoff` suite in tests/). The mpsc channel
-// itself stays `std`: the facade models the protocol *around* it.
+// bisched_model`, where the `model_service_slots` suite explores the
+// slot semaphore and the shard cache).
 use bisched_obs::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,17 +62,15 @@ pub struct ServeOptions {
     /// Bind address; port `0` picks an ephemeral port (see
     /// [`Service::local_addr`]).
     pub addr: String,
-    /// Solver worker threads, split across shards (each shard gets
-    /// `max(1, workers / shards)`). While fewer solves than that run in
-    /// a shard, a miss is solved on its connection's thread instead.
+    /// Concurrent solves, split across shards: each shard has
+    /// `max(1, workers / shards)` solve slots. A miss solves on its
+    /// connection's thread once it holds one.
     pub workers: usize,
-    /// Maximum jobs one worker drains into a single `solve_batch` call.
-    pub batch: usize,
     /// Canonicalization-cache capacity **per shard** (reports); `0`
     /// disables caching.
     pub cache_cap: usize,
-    /// Bounded queue depth per shard; past it, solve requests get a
-    /// `busy` response (backpressure).
+    /// Misses that may wait for a solve slot, per shard (minimum 1);
+    /// past it, solve requests get a `busy` response (backpressure).
     pub queue_cap: usize,
     /// Base solver configuration; per-request `eps`/`method`/`portfolio`
     /// override it.
@@ -78,13 +81,20 @@ pub struct ServeOptions {
     /// Exemplar window length; the previous window stays fetchable for
     /// one more window after it completes.
     pub exemplar_window: Duration,
-    /// Number of independent shards. Each owns its cache, queue, worker
-    /// pool, and metrics; solve requests route by
+    /// Number of independent shards. Each owns its cache, solve slots,
+    /// and metrics; solve requests route by
     /// `canonical_fingerprint % shards`.
     pub shards: usize,
     /// Cache snapshot file: loaded (and re-bucketed by route) at boot
     /// when present, written on graceful shutdown. `None` disables both.
     pub cache_snapshot: Option<PathBuf>,
+}
+
+impl ServeOptions {
+    /// Solve slots each shard gets: `max(1, workers / shards)`.
+    fn slots_per_shard(&self) -> usize {
+        (self.workers.max(1) / self.shards.max(1)).max(1)
+    }
 }
 
 impl Default for ServeOptions {
@@ -94,7 +104,6 @@ impl Default for ServeOptions {
             workers: std::thread::available_parallelism()
                 .map(|p| p.get().min(8))
                 .unwrap_or(2),
-            batch: 16,
             cache_cap: 4096,
             queue_cap: 1024,
             base_config: SolverConfig::new(),
@@ -109,45 +118,23 @@ impl Default for ServeOptions {
 /// One shard: everything a solve request touches after routing. No two
 /// shards share any of this state, so requests on different shards never
 /// contend.
-pub(crate) struct Shard {
-    pub(crate) cache: Mutex<LruCache>,
-    pub(crate) metrics: Metrics,
-    /// `None` once shutdown began: dropping the sender closes this
-    /// shard's queue, letting its workers drain and exit.
-    queue: Mutex<Option<SyncSender<Job>>>,
+struct Shard {
+    cache: Mutex<LruCache>,
+    metrics: Metrics,
+    /// Bounds the shard's concurrent solves; closed at shutdown.
+    slots: Slots,
     /// The shard's slow-request exemplar buffer behind the `trace` verb.
     exemplars: Mutex<SlowRing>,
     /// Serializes `stall_us` benchmark holds within the shard (and only
     /// within it — that is the point: the `service_scaling` suite uses
     /// the gate to make aggregate throughput shard-bound).
     stall_gate: Mutex<()>,
-    /// Solves running in this shard, on its workers or on connection
-    /// threads. Plain `std`: only a scheduling hint, not part of the
-    /// modelled queue/cache handoff.
-    pub(crate) solving: std::sync::atomic::AtomicUsize,
-    /// The shard's worker count: a connection thread solves its miss
-    /// itself only while fewer solves than this are running.
-    solver_slots: usize,
 }
 
-impl Shard {
-    /// Claims a solve slot for the calling connection thread; the caller
-    /// releases it with `solving.fetch_sub(1)` after solving.
-    fn try_take_solver_slot(&self) -> bool {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.solving
-            .fetch_update(Relaxed, Relaxed, |n| {
-                (n < self.solver_slots).then_some(n + 1)
-            })
-            .is_ok()
-    }
-}
-
-/// State shared by the accept loop, every connection handler, and the
-/// per-shard worker pools.
-pub(crate) struct Shared {
-    pub(crate) base_config: SolverConfig,
-    pub(crate) shards: Vec<Shard>,
+/// State shared by the accept loop and every connection handler.
+struct Shared {
+    base_config: SolverConfig,
+    shards: Vec<Shard>,
     shutting_down: AtomicBool,
     /// Request-id mint: each solve request gets the next value, which
     /// tags its spans, log lines, and exemplar. Service-global so ids
@@ -156,8 +143,28 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Empty shards for `opts` (no snapshot loaded yet).
+    fn new(opts: &ServeOptions) -> Shared {
+        let now = Instant::now();
+        let shards = (0..opts.shards.max(1))
+            .map(|_| Shard {
+                cache: Mutex::new(LruCache::new(opts.cache_cap)),
+                metrics: Metrics::default(),
+                slots: Slots::new(opts.slots_per_shard(), opts.queue_cap),
+                exemplars: Mutex::new(SlowRing::new(opts.exemplar_k, opts.exemplar_window, now)),
+                stall_gate: Mutex::new(()),
+            })
+            .collect();
+        Shared {
+            base_config: opts.base_config.clone(),
+            shards,
+            shutting_down: AtomicBool::new(false),
+            next_request_id: AtomicU64::new(0),
+        }
+    }
+
     /// The shard a canonical fingerprint routes to.
-    pub(crate) fn shard_of(&self, route: u128) -> usize {
+    fn shard_of(&self, route: u128) -> usize {
         (route % self.shards.len() as u128) as usize
     }
 
@@ -179,12 +186,12 @@ impl Shared {
 
     /// Snapshot for the `stats` verb: cross-shard totals plus the
     /// per-shard breakdown.
-    pub(crate) fn stats(&self) -> StatsData {
+    fn stats(&self) -> StatsData {
         snapshot_sharded(&self.views())
     }
 
     /// Prometheus text exposition for the `metrics` verb.
-    pub(crate) fn prometheus(&self) -> String {
+    fn prometheus(&self) -> String {
         prometheus_sharded(&self.views())
     }
 
@@ -221,19 +228,20 @@ impl Shared {
     }
 
     /// Idempotent shutdown trigger: refuse new work and close every
-    /// shard's queue. The polling accept loop observes the flag on its
-    /// next tick — no connect-to-self poke needed.
+    /// shard's solve slots (admitted misses still finish). The polling
+    /// accept loop observes the flag on its next tick — no
+    /// connect-to-self poke needed.
     fn begin_shutdown(&self) {
         if self.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
         bisched_obs::info!(
             "service",
-            "shutdown initiated, draining {} shard queue(s)",
+            "shutdown initiated, draining {} shard(s)",
             self.shards.len()
         );
         for shard in &self.shards {
-            *shard.queue.lock().unwrap() = None;
+            shard.slots.close();
         }
     }
 }
@@ -245,60 +253,21 @@ pub struct Service {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     snapshot_path: Option<PathBuf>,
 }
 
 impl Service {
-    /// Binds, spawns the per-shard worker pools and the accept loop,
-    /// warm-starts the shard caches from the configured snapshot when one
-    /// exists, and returns the running service.
+    /// Binds, warm-starts the shard caches from the configured snapshot
+    /// when one exists, spawns the accept loop, and returns the running
+    /// service.
     pub fn start(opts: ServeOptions) -> std::io::Result<Service> {
         let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shard_count = opts.shards.max(1);
-        let per_shard = (opts.workers.max(1) / shard_count).max(1);
-        let now = Instant::now();
-        let mut receivers = Vec::with_capacity(shard_count);
-        let shards = (0..shard_count)
-            .map(|_| {
-                let (tx, rx) = mpsc::sync_channel::<Job>(opts.queue_cap.max(1));
-                receivers.push(rx);
-                Shard {
-                    cache: Mutex::new(LruCache::new(opts.cache_cap)),
-                    metrics: Metrics::default(),
-                    queue: Mutex::new(Some(tx)),
-                    exemplars: Mutex::new(SlowRing::new(
-                        opts.exemplar_k,
-                        opts.exemplar_window,
-                        now,
-                    )),
-                    stall_gate: Mutex::new(()),
-                    solving: std::sync::atomic::AtomicUsize::new(0),
-                    solver_slots: per_shard,
-                }
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            base_config: opts.base_config.clone(),
-            shards,
-            shutting_down: AtomicBool::new(false),
-            next_request_id: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(&opts));
         if let Some(path) = &opts.cache_snapshot {
             warm_start(&shared, path);
-        }
-        let mut workers = Vec::with_capacity(shard_count * per_shard);
-        for (shard_idx, rx) in receivers.into_iter().enumerate() {
-            workers.extend(spawn_shard_workers(
-                per_shard,
-                opts.batch,
-                rx,
-                Arc::clone(&shared),
-                shard_idx,
-            ));
         }
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
@@ -306,13 +275,13 @@ impl Service {
             let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name("bisched-accept".into())
-                .spawn(move || accept_loop(listener, shared, handlers))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(listener, shared, handlers, spawn_handler))?
         };
         bisched_obs::info!(
             "service",
-            "listening on {addr} — {shard_count} shard(s) × {per_shard} worker(s), batch {}, queue {}/shard, cache {}/shard",
-            opts.batch,
+            "listening on {addr} — {} shard(s) × {} solve slot(s), queue {}/shard, cache {}/shard",
+            shared.shards.len(),
+            opts.slots_per_shard(),
             opts.queue_cap.max(1),
             opts.cache_cap,
         );
@@ -320,7 +289,6 @@ impl Service {
             shared,
             addr,
             accept: Some(accept),
-            workers,
             handlers,
             snapshot_path: opts.cache_snapshot,
         })
@@ -336,8 +304,8 @@ impl Service {
         self.shared.stats()
     }
 
-    /// Initiates graceful shutdown: new solves are refused, queued ones
-    /// drain. Follow with [`Service::join`].
+    /// Initiates graceful shutdown: new solves are refused, admitted ones
+    /// finish. Follow with [`Service::join`].
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();
     }
@@ -350,9 +318,6 @@ impl Service {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
         let handlers = std::mem::take(&mut *self.handlers.lock().unwrap());
         for handler in handlers {
             let _ = handler.join();
@@ -363,7 +328,7 @@ impl Service {
         let stats = self.shared.stats();
         bisched_obs::info!(
             "service",
-            "shut down after {:.1}s — {} requests over {} shard(s), {} solved ({} cached, hit rate {:.2}), {} busy, {} errors, p50 {:.3}ms p99 {:.3}ms (queue p50 {:.3}ms, solve p50 {:.3}ms)",
+            "shut down after {:.1}s — {} requests over {} shard(s), {} solved ({} cached, hit rate {:.2}), {} busy, {} errors, p50 {:.3}ms p99 {:.3}ms (slot wait p50 {:.3}ms, solve p50 {:.3}ms)",
             stats.uptime_s,
             stats.requests,
             self.shared.shards.len(),
@@ -458,13 +423,23 @@ fn write_snapshot(shared: &Shared, path: &std::path::Path) {
     }
 }
 
-/// Polls the non-blocking listener, spawning one handler thread per
-/// accepted connection, until shutdown. Accepted streams are switched
-/// back to blocking (with a short read timeout) for the handler.
+/// Starts the handler thread for one accepted connection.
+fn spawn_handler(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name("bisched-conn".into())
+        .spawn(move || handle_connection(stream, &shared))
+}
+
+/// Polls the non-blocking listener, handing each accepted connection to
+/// a handler thread from `spawn`, until shutdown. Accepted streams are
+/// switched back to blocking (with a short read timeout) for the
+/// handler. When the OS refuses a thread, that one connection is dropped
+/// and the loop keeps accepting.
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    spawn: impl Fn(TcpStream, Arc<Shared>) -> std::io::Result<JoinHandle<()>>,
 ) {
     loop {
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -476,11 +451,16 @@ fn accept_loop(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("bisched-conn".into())
-                    .spawn(move || handle_connection(stream, &shared))
-                    .expect("spawn connection handler");
+                let handle = match spawn(stream, Arc::clone(&shared)) {
+                    Ok(handle) => handle,
+                    Err(e) => {
+                        bisched_obs::warn!(
+                            "service",
+                            "no handler thread for {peer} ({e}), connection dropped"
+                        );
+                        continue;
+                    }
+                };
                 // Reap finished handlers as we go so a long-lived daemon
                 // serving short connections doesn't accumulate dead
                 // JoinHandles.
@@ -589,16 +569,21 @@ struct Pending {
 impl Pending {
     /// Extracts the next complete message, if one is fully buffered: a
     /// `\n`-terminated line (trimmed, delimiter removed) in JSON mode, a
-    /// length-prefixed payload in binary mode.
+    /// length-prefixed payload in binary mode. A line or frame longer than
+    /// [`frame::MAX_FRAME_LEN`] is a framing violation.
     fn next_message(&mut self, mode: FrameMode) -> Result<Option<Vec<u8>>, String> {
         match mode {
             FrameMode::Json => {
                 let unscanned = &self.bytes[self.scanned..];
-                let Some(at) = unscanned.iter().position(|&b| b == b'\n') else {
-                    self.scanned = self.bytes.len();
+                let newline = unscanned.iter().position(|&b| b == b'\n');
+                self.scanned += newline.unwrap_or(unscanned.len());
+                if self.scanned > frame::MAX_FRAME_LEN as usize {
+                    return Err(format!("line longer than {} bytes", frame::MAX_FRAME_LEN));
+                }
+                if newline.is_none() {
                     return Ok(None);
-                };
-                let end = self.scanned + at;
+                }
+                let end = self.scanned;
                 let line = self.bytes[..end].trim_ascii().to_vec();
                 self.bytes.drain(..=end);
                 self.scanned = 0;
@@ -766,7 +751,7 @@ fn handle_request(
 fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Response {
     let t0 = Instant::now();
     // Mint the request id first: every span and log line this request
-    // produces — here and in the worker — carries it.
+    // produces carries it.
     let rid = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let _rid_scope = bisched_obs::log::request_scope(rid);
     let _request_span = bisched_obs::span_arg(names::SOLVE_REQUEST, "service", "request_id", rid);
@@ -847,96 +832,89 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         if let Some(report) = hit {
             bisched_obs::instant(names::CACHE_HIT, "service", "request_id", rid);
             return finish_solve(
-                id, rid, &canonical, &report, true, t0, canon_us, None, shard, shard_idx,
+                id, rid, &canonical, &report, t0, canon_us, None, shard, shard_idx,
             );
         }
         bisched_obs::instant(names::CACHE_MISS, "service", "request_id", rid);
     }
 
-    // Miss. While the shard runs fewer solves than it has workers, solve
-    // on this thread: handing the job to a worker and the report back
-    // costs two thread wake-ups, and when the host is short of CPU those
-    // wake-ups, not the solve, set the tail of sub-millisecond misses.
-    // Otherwise enqueue for the worker pool (bounded — `busy` on
-    // overflow), which batches the backlog.
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        request_id: rid,
-        instance: canonical.instance.clone(),
-        route,
-        fingerprint: cache_key,
-        certificate: cache_cert,
-        config,
-        reply: reply_tx,
-        enqueued: Instant::now(),
+    // Miss: take one of the shard's solve slots, or wait for one, and
+    // solve on this thread. At most `queue_cap` misses wait per shard;
+    // the next one is answered `busy`.
+    let solver = match config.build() {
+        Ok(solver) => solver,
+        Err(e) => return fail(Response::solve_error(id, &e)),
     };
-    let send_result = {
-        let queue = shard.queue.lock().unwrap();
-        match queue.as_ref() {
-            None => Err(None),
-            Some(_) if shard.try_take_solver_slot() => Ok(Some(job)),
-            Some(tx) => tx.try_send(job).map(|()| None).map_err(Some),
-        }
-    };
-    match send_result {
-        Ok(Some(job)) => {
-            process_batch(vec![job], shared, shard_idx);
-            shard
-                .solving
-                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        Ok(None) => {}
-        Err(Some(TrySendError::Full(_))) => {
+    let wait_t0 = Instant::now();
+    let permit = match shard.slots.acquire() {
+        Admission::Admitted(permit) => permit,
+        Admission::Busy => {
             shard.metrics.busy.fetch_add(1, Ordering::Relaxed);
             bisched_obs::debug!(
                 "service",
-                "shard {shard_idx} queue full, rejecting request {id:?}"
+                "shard {shard_idx} has no free solve slot, rejecting request {id:?}"
             );
             return Response::busy(id);
         }
-        Err(Some(TrySendError::Disconnected(_))) | Err(None) => {
-            return fail(Response::error(id, "service is shutting down"));
+        Admission::Closed => return fail(Response::error(id, "service is shutting down")),
+    };
+    let wait_us = wait_t0.elapsed().as_micros() as u64;
+    shard.metrics.record_slot_wait(wait_us);
+    let solve_t0 = Instant::now();
+    let result = solver.solve(&canonical.instance);
+    let solve_us = solve_t0.elapsed().as_micros() as u64;
+    drop(permit);
+    shard.metrics.solves.fetch_add(1, Ordering::Relaxed);
+    shard.metrics.record_solve_time(solve_us);
+    let report = match result {
+        Ok(report) => Arc::new(report),
+        Err(e) => return fail(Response::solve_error(id, &e)),
+    };
+    shard.metrics.record_win(report.method);
+    for run in &report.attempts {
+        if run.cancelled {
+            shard.metrics.record_cancelled(run.method);
         }
     }
-    match reply_rx.recv() {
-        Ok(JobReply::Solved {
-            report,
-            queue_us,
-            solve_us,
-        }) => finish_solve(
-            id,
-            rid,
-            &canonical,
-            &report,
-            false,
-            t0,
-            canon_us,
-            Some((queue_us, solve_us)),
-            shard,
-            shard_idx,
-        ),
-        Ok(JobReply::Failed(e)) => fail(Response::solve_error(id, &e)),
-        Err(_) => fail(Response::error(id, "worker dropped the request")),
+    {
+        let mut cache = shard.cache.lock().unwrap();
+        let evictions_before = cache.counters().evictions;
+        cache.insert_routed(route, cache_key, cache_cert, Arc::clone(&report));
+        if cache.counters().evictions > evictions_before {
+            bisched_obs::instant(names::CACHE_EVICT, "service", "", 0);
+        }
     }
+    bisched_obs::instant(names::JOB_DONE, "service", "request_id", rid);
+    finish_solve(
+        id,
+        rid,
+        &canonical,
+        &report,
+        t0,
+        canon_us,
+        Some((wait_us, solve_us)),
+        shard,
+        shard_idx,
+    )
 }
 
 /// Builds the `ok` solve response in the request's labeling, and offers
 /// the finished request to the shard's slow-request exemplar buffer.
-/// `timing` is `Some((queue_us, solve_us))` for worker-solved requests,
-/// `None` for cache hits (which never enqueue).
+/// `timing` is `Some((slot_wait_us, solve_us))` for fresh solves, `None`
+/// for cache hits (which never take a slot).
 #[allow(clippy::too_many_arguments)]
 fn finish_solve(
     id: Option<u64>,
     rid: u64,
     canonical: &bisched_model::Canonical,
     report: &bisched_core::SolveReport,
-    cached: bool,
     t0: Instant,
     canon_us: u64,
     timing: Option<(u64, u64)>,
     shard: &Shard,
     shard_idx: usize,
 ) -> Response {
+    let cached = timing.is_none();
     let schedule = canonical.schedule_to_original(&report.schedule);
     let mut r = Response::ok(id);
     r.method = Some(report.method.name().to_string());
@@ -969,7 +947,7 @@ fn finish_solve(
         method: Some(report.method.name().to_string()),
         fingerprint: format!("{:032x}", canonical.fingerprint),
         shard: shard_idx as u64,
-        root: exemplar_tree(total_ms, canon_us, timing, report, cached),
+        root: exemplar_tree(total_ms, canon_us, timing, report),
     };
     shard
         .exemplars
@@ -988,7 +966,6 @@ fn exemplar_tree(
     canon_us: u64,
     timing: Option<(u64, u64)>,
     report: &bisched_core::SolveReport,
-    cached: bool,
 ) -> SpanData {
     let canon_ms = canon_us as f64 / 1e3;
     let mut children = vec![SpanData {
@@ -998,33 +975,33 @@ fn exemplar_tree(
         counters: vec![],
         children: vec![],
     }];
-    if let (Some((queue_us, solve_us)), false) = (timing, cached) {
-        let queue_ms = queue_us as f64 / 1e3;
+    if let Some((wait_us, solve_us)) = timing {
+        let wait_ms = wait_us as f64 / 1e3;
         let solve_ms = solve_us as f64 / 1e3;
         children.push(SpanData {
-            name: "queue".into(),
+            name: "slot_wait".into(),
             start_ms: canon_ms,
-            dur_ms: queue_ms,
+            dur_ms: wait_ms,
             counters: vec![],
             children: vec![],
         });
-        let batch_start = canon_ms + queue_ms;
+        let solve_start = canon_ms + wait_ms;
         // Race members run concurrently, so each engine span starts at
-        // the batch start; its own wall time is its duration.
+        // the solve start; its own wall time is its duration.
         let engine_spans = report
             .attempts
             .iter()
             .map(|run| SpanData {
                 name: run.method.name().to_string(),
-                start_ms: batch_start,
+                start_ms: solve_start,
                 dur_ms: run.wall_time.as_secs_f64() * 1e3,
                 counters: run.stats.iter().map(|(n, v)| (n.to_string(), v)).collect(),
                 children: vec![],
             })
             .collect();
         children.push(SpanData {
-            name: "solve_batch".into(),
-            start_ms: batch_start,
+            name: "solve".into(),
+            start_ms: solve_start,
             dur_ms: solve_ms,
             counters: vec![],
             children: engine_spans,
@@ -1134,32 +1111,58 @@ mod tests {
 
     #[test]
     fn connection_threads_take_at_most_the_worker_count_of_slots() {
-        let shard = Shard {
-            cache: Mutex::new(LruCache::new(1)),
-            metrics: Metrics::default(),
-            queue: Mutex::new(None),
-            exemplars: Mutex::new(SlowRing::new(1, Duration::from_secs(1), Instant::now())),
-            stall_gate: Mutex::new(()),
-            solving: std::sync::atomic::AtomicUsize::new(0),
-            solver_slots: 2,
+        let opts = |workers, shards| ServeOptions {
+            workers,
+            shards,
+            ..ServeOptions::default()
         };
-        assert!(shard.try_take_solver_slot());
-        assert!(shard.try_take_solver_slot());
-        assert!(!shard.try_take_solver_slot(), "both slots are taken");
-        shard
-            .solving
-            .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
-        assert!(shard.try_take_solver_slot());
-        // Both connection threads finish; a worker starts a batch, which
-        // holds a slot too.
-        shard
-            .solving
-            .fetch_sub(2, std::sync::atomic::Ordering::Relaxed);
-        shard
-            .solving
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        assert!(shard.try_take_solver_slot());
-        assert!(!shard.try_take_solver_slot());
+        assert_eq!(opts(4, 2).slots_per_shard(), 2);
+        assert_eq!(opts(5, 2).slots_per_shard(), 2);
+        assert_eq!(opts(1, 4).slots_per_shard(), 1, "every shard gets a slot");
+        // Each shard has its own two slots (a third miss would wait, see
+        // `slots::tests`), and shutdown closes every shard.
+        let shared = Shared::new(&opts(4, 2));
+        let held = [0, 0, 1, 1].map(|i| match shared.shards[i].slots.acquire() {
+            Admission::Admitted(permit) => permit,
+            other => panic!("shard {i}: expected a free slot, got {other:?}"),
+        });
+        drop(held);
+        shared.begin_shutdown();
+        for shard in &shared.shards {
+            assert!(matches!(shard.slots.acquire(), Admission::Closed));
+        }
+    }
+
+    #[test]
+    fn a_refused_handler_thread_drops_only_that_connection() {
+        use crate::client::Client;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shared = Arc::new(Shared::new(&ServeOptions::default()));
+        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let accept = {
+            let (shared, handlers) = (Arc::clone(&shared), Arc::clone(&handlers));
+            let refused = std::sync::atomic::AtomicBool::new(false);
+            std::thread::spawn(move || {
+                accept_loop(listener, shared, handlers, move |stream, shared| {
+                    // The first connection meets an OS that refuses a thread.
+                    if !refused.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                        return Err(std::io::Error::other("injected spawn failure"));
+                    }
+                    spawn_handler(stream, shared)
+                })
+            })
+        };
+        let mut dropped = Client::connect(addr).unwrap();
+        assert!(dropped.ping().is_err(), "the refused connection is closed");
+        // The accept thread survived and serves the next connection.
+        assert_eq!(Client::connect(addr).unwrap().ping().unwrap().status, "ok");
+        shared.begin_shutdown();
+        accept.join().unwrap();
+        for handler in std::mem::take(&mut *handlers.lock().unwrap()) {
+            handler.join().unwrap();
+        }
     }
 
     #[test]
@@ -1245,6 +1248,21 @@ mod tests {
             }
         }
         assert!(pending.bytes.is_empty());
+    }
+
+    #[test]
+    fn json_lines_longer_than_the_frame_limit_are_rejected() {
+        let limit = frame::MAX_FRAME_LEN as usize;
+        let mut pending = Pending::default();
+        pending.bytes.resize(limit, b' ');
+        assert!(pending.next_message(FrameMode::Json).unwrap().is_none());
+        pending.bytes.push(b' ');
+        assert!(pending.next_message(FrameMode::Json).is_err());
+        // A newline past the limit does not rescue the line.
+        let mut pending = Pending::default();
+        pending.bytes.resize(limit + 1, b' ');
+        pending.bytes.push(b'\n');
+        assert!(pending.next_message(FrameMode::Json).is_err());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! End-to-end service tests: a daemon on an ephemeral loopback port, a
 //! mixed {P,Q,R} × {2,3,8} workload pushed concurrently from several
 //! client threads, response validation against the original instances,
-//! cache-hit accounting, and a graceful drain on shutdown.
+//! cache-hit accounting, backpressure, hostile input, and a graceful
+//! drain on shutdown.
 
+use bisched_core::SolverConfig;
 use bisched_graph::gilbert_bipartite;
 use bisched_model::{
     Instance, InstanceData, JobSizes, Rat, Schedule, SpeedProfile, UnrelatedFamily,
@@ -76,7 +78,6 @@ fn concurrent_mixed_workload_validates_hits_cache_and_drains() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 3,
-        batch: 4,
         cache_cap: 256,
         queue_cap: 512,
         ..ServeOptions::default()
@@ -114,11 +115,12 @@ fn concurrent_mixed_workload_validates_hits_cache_and_drains() {
     assert!(stats.cache_hits > 0, "stats must report cache hits");
     assert_eq!(stats.solved, 4 * workload.len() as u64);
     assert_eq!(stats.errors, 0);
-    assert!(stats.batches > 0);
-    assert!(stats.batched_jobs >= stats.cache_misses);
+    // `batches` and `batched_jobs` both count fresh solves: one per miss.
+    assert_eq!(stats.batches, stats.cache_misses);
+    assert_eq!(stats.batched_jobs, stats.batches);
     assert!(stats.hit_rate > 0.0 && stats.hit_rate < 1.0);
-    // The latency split is populated: every miss went through the queue
-    // and a solve_batch call.
+    // The latency split is populated: every miss took a solve slot and
+    // solved.
     assert!(stats.solve_p50_ms > 0.0, "solve-time histogram is empty");
     // Canonicalization is histogrammed on every routed solve, hits too.
     assert!(stats.canon_p99_ms > 0.0, "canonicalize histogram is empty");
@@ -131,7 +133,11 @@ fn concurrent_mixed_workload_validates_hits_cache_and_drains() {
         4 * workload.len() as u64
     )));
     assert!(text.contains("# TYPE bisched_request_latency_seconds histogram"));
-    assert!(text.contains("bisched_queue_wait_seconds_count"));
+    assert!(text.contains(&format!(
+        "bisched_slot_wait_seconds_count {}",
+        stats.cache_misses
+    )));
+    assert!(text.contains(&format!("bisched_solves_total {}", stats.cache_misses)));
     assert!(text.contains("bisched_solve_time_seconds_bucket{le=\"+Inf\"}"));
     assert!(text.contains(&format!(
         "bisched_canonicalize_seconds_count {}",
@@ -159,7 +165,6 @@ fn isomorphic_relabelings_hit_the_cache() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 1,
         ..ServeOptions::default()
     })
     .expect("start service");
@@ -203,7 +208,6 @@ fn per_request_overrides_and_errors() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 4,
         ..ServeOptions::default()
     })
     .expect("start service");
@@ -231,8 +235,8 @@ fn per_request_overrides_and_errors() {
     assert_eq!(resp.status, "error");
     assert!(resp.error.unwrap().contains("bipartite"));
 
-    // Garbage line on a raw socket -> typed error response, and the same
-    // connection stays usable for a valid request afterwards.
+    // Garbage and over-deep lines on a raw socket -> typed error
+    // responses, and the same connection stays usable afterwards.
     {
         use std::io::{BufRead, BufReader, Write};
         let mut raw = std::net::TcpStream::connect(service.local_addr()).expect("raw connect");
@@ -241,6 +245,14 @@ fn per_request_overrides_and_errors() {
         let mut line = String::new();
         lines.read_line(&mut line).expect("error response");
         assert!(line.contains("\"status\":\"error\""), "got: {line}");
+        // Two million `[`: a parser without a depth limit overflows the
+        // connection thread's stack and aborts the whole daemon.
+        let mut deep = vec![b'['; 2_000_000];
+        deep.push(b'\n');
+        raw.write_all(&deep).expect("write deep line");
+        line.clear();
+        lines.read_line(&mut line).expect("error response");
+        assert!(line.contains("recursion limit"), "got: {line}");
         writeln!(raw, "{{\"verb\":\"ping\",\"id\":9}}").expect("write ping");
         line.clear();
         lines.read_line(&mut line).expect("ping response");
@@ -305,7 +317,6 @@ fn trace_verb_returns_exemplars_with_engine_counters() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 4,
         ..ServeOptions::default()
     })
     .expect("start service");
@@ -356,13 +367,13 @@ fn trace_verb_returns_exemplars_with_engine_counters() {
     assert_eq!(ex.root.name, "solve_request");
     assert!(ex.total_ms > 0.0);
     let phases: Vec<&str> = ex.root.children.iter().map(|c| c.name.as_str()).collect();
-    assert_eq!(phases, vec!["canonicalize", "queue", "solve_batch"]);
-    let batch = ex.root.children.last().unwrap();
-    let engine = batch
+    assert_eq!(phases, vec!["canonicalize", "slot_wait", "solve"]);
+    let solve = ex.root.children.last().unwrap();
+    let engine = solve
         .children
         .iter()
         .find(|s| s.name == "branch-and-bound")
-        .expect("engine span under solve_batch");
+        .expect("engine span under solve");
     assert!(
         engine.counters.iter().any(|(n, v)| n == "nodes" && *v > 0),
         "exemplar engine span must carry counters, got {:?}",
@@ -389,7 +400,6 @@ fn exemplar_ring_keeps_the_worst_under_concurrency() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        batch: 2,
         exemplar_k: 1,
         ..ServeOptions::default()
     })
@@ -446,7 +456,6 @@ fn exemplar_window_rolls_current_into_previous() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 1,
         exemplar_k: 4,
         exemplar_window: window,
         ..ServeOptions::default()
@@ -489,7 +498,6 @@ fn sharded_daemon_routes_pins_and_aggregates() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 4,
-        batch: 2,
         shards: 4,
         ..ServeOptions::default()
     })
@@ -576,7 +584,6 @@ fn isomorphic_relabelings_route_to_the_same_shard() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 4,
-        batch: 1,
         shards: 4,
         ..ServeOptions::default()
     })
@@ -647,7 +654,6 @@ fn binary_framing_upgrade_round_trips_solves_and_stats() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        batch: 2,
         shards: 2,
         ..ServeOptions::default()
     })
@@ -728,7 +734,6 @@ fn snapshot_warm_restart_answers_from_cache_across_shard_counts() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 2,
-        batch: 2,
         shards: 2,
         cache_snapshot: Some(snap.clone()),
         ..ServeOptions::default()
@@ -742,11 +747,10 @@ fn snapshot_warm_restart_answers_from_cache_across_shard_counts() {
     assert!(snap.exists(), "drain must write the snapshot");
 
     // Second life: different shard count (re-bucketing) — every request
-    // must be a cache hit and no batch may reach the solver.
+    // must be a cache hit and nothing may reach the solver.
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 3,
-        batch: 2,
         shards: 3,
         cache_snapshot: Some(snap.clone()),
         ..ServeOptions::default()
@@ -766,7 +770,6 @@ fn snapshot_warm_restart_answers_from_cache_across_shard_counts() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 1,
         cache_snapshot: Some(snap.clone()),
         ..ServeOptions::default()
     })
@@ -787,7 +790,6 @@ fn unsorted_q_speeds_answered_in_submitted_machine_order() {
     let service = Service::start(ServeOptions {
         addr: "127.0.0.1:0".into(),
         workers: 1,
-        batch: 1,
         ..ServeOptions::default()
     })
     .expect("start service");
@@ -827,4 +829,64 @@ fn unsorted_q_speeds_answered_in_submitted_machine_order() {
 
     service.shutdown();
     service.join();
+}
+
+#[test]
+fn overload_answers_busy_and_every_admitted_miss_finishes() {
+    // One solve slot and one waiting place: while a deadline-bound
+    // branch-and-bound solve holds the slot, one more miss may wait and
+    // every other one must be answered `busy`.
+    let service = Service::start(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        queue_cap: 1,
+        base_config: SolverConfig::new()
+            .bnb_node_limit(u64::MAX)
+            .bnb_deadline(Some(std::time::Duration::from_millis(400))),
+        ..ServeOptions::default()
+    })
+    .expect("start service");
+    let addr = service.local_addr();
+    let mut rng = StdRng::seed_from_u64(0xB05E);
+    let g = gilbert_bipartite(20, 20, 0.3, &mut rng);
+    let times = UnrelatedFamily::Uncorrelated { lo: 1, hi: 100 }.sample(3, 40, &mut rng);
+    let inst = Arc::new(Instance::unrelated(times, g).unwrap());
+
+    const CLIENTS: usize = 6;
+    let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let threads: Vec<_> = (0..CLIENTS)
+        .map(|k| {
+            let (inst, start) = (Arc::clone(&inst), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                let mut req = Request::solve(InstanceData::from_instance(&inst));
+                req.id = Some(k as u64);
+                req.method = Some("branch-and-bound".into());
+                req.no_cache = Some(true);
+                start.wait();
+                client.request(&req).expect("response")
+            })
+        })
+        .collect();
+    let responses: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let count = |status: &str| responses.iter().filter(|r| r.status == status).count();
+    let (ok, busy) = (count("ok"), count("busy"));
+    assert_eq!(ok + busy, CLIENTS, "every answer is ok or busy");
+    assert!(
+        busy >= 1,
+        "{CLIENTS} simultaneous misses on 1 slot + 1 waiting place"
+    );
+    assert!(ok >= 1, "the first miss holds the slot and finishes");
+    for r in responses.iter().filter(|r| r.status == "ok") {
+        let schedule = Schedule::new(r.assignment.clone().expect("assignment"));
+        assert!(schedule.validate(&inst).is_ok(), "request {:?}", r.id);
+    }
+    service.shutdown();
+    let stats = service.join();
+    assert_eq!((stats.solved, stats.busy), (ok as u64, busy as u64));
+    assert_eq!(
+        stats.batches, ok as u64,
+        "one fresh solve per admitted miss"
+    );
+    assert_eq!(stats.errors, 0);
 }

@@ -62,10 +62,6 @@
 //! let best = portfolio.solve(&inst).unwrap();
 //! assert!(best.makespan <= report.makespan);
 //! assert!(best.race_time.is_some()); // races report their wall time
-//!
-//! // Batch solving for bulk workloads.
-//! let reports = Solver::new().solve_batch(&[inst]);
-//! assert!(reports[0].is_ok());
 //! ```
 //!
 //! ## The exact oracle and its budgets
@@ -213,7 +209,7 @@
 //! (`bisched_cli metrics --addr …`) and **slow-request exemplars**
 //! through the `trace` verb (`bisched_cli trace --addr …`): always-on,
 //! the K slowest requests of the current and previous windows as span
-//! trees — canonicalize/queue/solve phases plus one span per engine
+//! trees — canonicalize/slot-wait/solve phases plus one span per engine
 //! attempt with its counters — so a p99 outlier is explainable after
 //! the fact with no recording pre-armed. Each request is tagged with a
 //! request id minted at accept; the id appears on the daemon's log
@@ -229,14 +225,14 @@
 //! daemon (JSON-lines over TCP, with an opt-in length-prefixed binary
 //! framing — see `crates/service/PROTOCOL.md`) built as **N independent
 //! shards**: each request is routed by its instance's canonical
-//! fingerprint to one shard, which owns its own cache, bounded queue,
-//! worker pool, latency histograms, and slow-request exemplar ring, so
-//! the solve hot path takes no cross-shard lock. Within a shard, a
-//! worker pool micro-batches requests into
-//! [`Solver::solve_batch`](core::Solver::solve_batch), and a
-//! canonicalization cache (instances reduced to the normal form of
-//! [`model::canonical`]) answers repeated *and isomorphically relabeled*
-//! submissions without re-solving:
+//! fingerprint to one shard, which owns its own cache, solve slots,
+//! latency histograms, and slow-request exemplar ring, so the solve hot
+//! path takes no cross-shard lock. Every request is served on its
+//! connection's thread: a cache miss takes one of its shard's solve
+//! slots (or waits for one) and calls [`Solver::solve`](core::Solver::solve)
+//! in place, and a canonicalization cache (instances reduced to the
+//! normal form of [`model::canonical`]) answers repeated *and
+//! isomorphically relabeled* submissions without re-solving:
 //!
 //! ```
 //! use bisched::prelude::*;
@@ -253,7 +249,7 @@
 //! assert_eq!(again.cached, Some(true)); // served from the cache
 //!
 //! client.shutdown_server().unwrap();
-//! service.join(); // drains the queue, logs final stats
+//! service.join(); // lets admitted solves finish, logs final stats
 //! ```
 //!
 //! From the command line, `bisched_cli serve --addr 127.0.0.1:7878`
@@ -263,10 +259,9 @@
 //! |---|---|---|
 //! | `--addr` | `127.0.0.1:7878` | bind address (port `0` picks one) |
 //! | `--shards` | `1` | independent shards; requests route by canonical fingerprint |
-//! | `--workers` | cores (≤ 8) | solver threads, split across shards; also the solves a shard runs on connection threads |
-//! | `--batch` | `16` | max queued jobs per micro-batched `solve_batch` call |
+//! | `--workers` | cores (≤ 8) | concurrent solves, split across shards: `max(1, workers / shards)` solve slots each |
 //! | `--cache-cap` | `4096` | LRU cache entries **per shard** (`0` disables) |
-//! | `--queue-cap` | `1024` | bounded queue slots **per shard** (full → `busy`) |
+//! | `--queue-cap` | `1024` | misses that may wait for a solve slot **per shard** (full → `busy`) |
 //! | `--cache-snapshot` | off | persist caches at shutdown, warm-start next boot |
 //! | `--exemplar-k` / `--exemplar-window-s` | `8` / `60` | slow-request exemplar ring |
 //! | `--log-level` / `--log-json` | `info` / off | leveled stderr logging |
@@ -277,7 +272,7 @@
 //! drives the daemon from K concurrent connections (aggregate req/s
 //! plus a per-shard hit-rate breakdown), `--frame binary` negotiates
 //! the v2 binary framing first. The `stats` verb exposes requests
-//! served, hit rate, p50/p99 latency — split into queue-wait and
+//! served, hit rate, p50/p99 latency — split into solve-slot-wait and
 //! solve-time components — per-engine win counts, per-engine
 //! race-cancelled attempt counts (cancellations are neither wins nor
 //! losses), and the per-shard breakdown; the `metrics` verb serves the
@@ -343,9 +338,9 @@
 //!
 //! ## Auditing the concurrency
 //!
-//! The lock-free pieces — the flight recorder's ring, the portfolio
+//! The concurrent protocols — the flight recorder's ring, the portfolio
 //! race's [`SearchCtl`](exact::SearchCtl) bound exchange, the service's
-//! shutdown/queue handoff — are explored interleaving-by-interleaving
+//! solve-slot semaphore — are explored interleaving-by-interleaving
 //! by the loom-style model checker in [`obs`]`::model`, swapped in by a
 //! cfg so production builds pay nothing:
 //!
@@ -401,7 +396,7 @@
 //! * [`lab`] — the scenario corpus, benchmark harness, and
 //!   perf-regression gate behind `bisched_cli lab`;
 //! * [`service`] — the solve daemon: sharded by canonical fingerprint
-//!   (per-shard cache, queue, workers, histograms, exemplars — no
+//!   (per-shard cache, solve slots, histograms, exemplars — no
 //!   cross-shard lock on the hot path), JSON-lines TCP protocol with
 //!   opt-in binary framing, cache snapshot warm starts, stats and
 //!   Prometheus metrics.
