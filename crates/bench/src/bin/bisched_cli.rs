@@ -87,6 +87,11 @@
 //! `--json` swaps the summary for one machine-readable JSON object
 //! (req/s, hit rate, client-side p50/p99 latency, per-shard hit rates)
 //! so load runs can be scripted alongside the in-process lab suites.
+//! `submit` retries a `busy` answer three times, 20 ms apart: its `busy`
+//! counts the requests it dropped after that (and it then exits 1),
+//! `busy_answers` every `busy` reply, retries included, like the
+//! daemon's `stats.busy`; a retried request's latency includes the
+//! pauses.
 //!
 //! `lab` drives the `bisched-lab` benchmark harness: `list` prints the
 //! scenario corpus, `run` executes a suite and writes
@@ -144,6 +149,9 @@ const USAGE: &str = "usage:
   bisched_cli submit --addr <host:port> <file.jsonl> [--repeat <k>] [--method <m>]
                      [--clients <k>] [--stall-us <us>] [--frame json|binary]
                      [--no-cache] [--shutdown] [--json]
+                     (a `busy` answer is retried 3 times, 20 ms apart: `busy` counts
+                      the requests dropped after that, `busy_answers` every `busy`
+                      reply; a retried request's latency includes the pauses)
   bisched_cli metrics --addr <host:port>
   bisched_cli trace --addr <host:port> [--shard <i>] [--json]
   bisched_cli lab list
@@ -468,7 +476,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 struct SubmitTally {
     requests: u64,
     ok: u64,
+    /// Requests dropped: still `busy` after every retry.
     busy: u64,
+    /// Every `busy` reply, retries included (what the daemon's
+    /// `stats.busy` counts).
+    busy_answers: u64,
     errors: u64,
     invalid: u64,
     hits: u64,
@@ -480,6 +492,7 @@ impl SubmitTally {
         self.requests += other.requests;
         self.ok += other.ok;
         self.busy += other.busy;
+        self.busy_answers += other.busy_answers;
         self.errors += other.errors;
         self.invalid += other.invalid;
         self.hits += other.hits;
@@ -528,13 +541,15 @@ fn run_submit_client(
             }
             tally.requests += 1;
             // Backpressure: retry `busy` a few times with a short pause
-            // before counting the request as dropped.
+            // before counting the request as dropped. The latency of a
+            // retried request includes the pauses.
             let t_req = std::time::Instant::now();
             let mut resp = client.request(&req).map_err(|e| format!("submit: {e}"))?;
             for _ in 0..3 {
                 if resp.status != "busy" {
                     break;
                 }
+                tally.busy_answers += 1;
                 std::thread::sleep(std::time::Duration::from_millis(20));
                 resp = client.request(&req).map_err(|e| format!("submit: {e}"))?;
             }
@@ -557,7 +572,10 @@ fn run_submit_client(
                         tally.hits += 1;
                     }
                 }
-                "busy" => tally.busy += 1,
+                "busy" => {
+                    tally.busy += 1;
+                    tally.busy_answers += 1;
+                }
                 _ => {
                     tally.errors += 1;
                     eprintln!(
@@ -656,6 +674,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         requests,
         ok,
         busy,
+        busy_answers,
         errors,
         invalid,
         hits,
@@ -688,6 +707,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         obj.insert("validated".into(), int(ok));
         obj.insert("invalid".into(), int(invalid));
         obj.insert("busy".into(), int(busy));
+        obj.insert("busy_answers".into(), int(busy_answers));
         obj.insert("errors".into(), int(errors));
         obj.insert("cache_hits".into(), int(hits));
         obj.insert("hit_rate".into(), float(hit_rate));
@@ -715,6 +735,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         println!("validated   {ok}/{requests}");
         println!("invalid     {invalid}");
         println!("busy        {busy}");
+        println!("busy answers {busy_answers}");
         println!("errors      {errors}");
         println!("cache hits  {hits}");
         println!("hit rate    {hit_rate:.2}");

@@ -9,7 +9,7 @@ use bisched_model::{Instance, Rat};
 ///
 /// | variant | provenance |
 /// |---|---|
-/// | [`Optimal`](Guarantee::Optimal) | exact oracles; Theorem 4 covers the polynomial `Q2, p_j = 1` regime of the `Q2` DP |
+/// | [`Optimal`](Guarantee::Optimal) | exact oracles; Theorem 4 covers the polynomial `Q2, p_j = 1` regime of the `Q2` DP; any schedule whose makespan meets the reported lower bound |
 /// | [`Ratio(r)`](Guarantee::Ratio) | `2` from BJW \[3\] on `P, m ≥ 3` (best possible) and from Algorithm 4 / Theorem 21 on `R2` |
 /// | [`SqrtSumP`](Guarantee::SqrtSumP) | Algorithm 1 / Theorem 9 — `√(Σ p_j) · C*`, matching the `Ω(n^{1/2−ε})` wall of Theorem 8 |
 /// | [`OnePlusEps(ε)`](Guarantee::OnePlusEps) | Algorithm 5 / Theorem 22 — the `R2` FPTAS |
@@ -48,7 +48,9 @@ impl Guarantee {
     /// The paper theorem (or prior-art citation) backing this guarantee.
     pub fn provenance(&self) -> &'static str {
         match self {
-            Guarantee::Optimal => "exact oracle (Theorem 4 regime / complete search)",
+            Guarantee::Optimal => {
+                "exact oracle (Theorem 4 regime / complete search) or makespan at the lower bound"
+            }
             Guarantee::Ratio(_) => "BJW [3] on P (m >= 3); Theorem 21 on R2",
             Guarantee::SqrtSumP => "Theorem 9 (Algorithm 1)",
             Guarantee::OnePlusEps(_) => "Theorem 22 (Algorithm 5 FPTAS)",

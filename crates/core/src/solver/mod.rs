@@ -41,7 +41,9 @@
 //! recorded in [`SolveReport::attempts`] with its wall time, and the
 //! returned schedule is labelled with the method that **actually produced
 //! it** — when Algorithm 1 beats BJW on identical machines the report
-//! says so.
+//! says so. Under every policy, a schedule whose makespan equals the
+//! reported [`SolveReport::lower_bound`] is labelled optimal, whichever
+//! engine built it.
 //!
 //! [`MethodPolicy::Force`] runs exactly one engine (or fails with a typed
 //! [`SolveError::NotApplicable`]); [`MethodPolicy::Portfolio`] **races** a
@@ -69,9 +71,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bisched_exact::SearchCtl;
-use bisched_model::{
-    capacity_lower_bound, unrelated_lower_bound, Instance, MachineEnvironment, Rat,
-};
+use bisched_model::{graph_blind_lower_bound, Instance, MachineEnvironment};
 use bisched_obs::names;
 
 use engines::{run_method, run_method_ctl, EngineFailure, EngineSolution};
@@ -194,13 +194,20 @@ impl Solver {
             }
         };
         let (best, method) = outcome?;
-        let guarantee = strongest_guarantee(inst, &attempts, best.guarantee);
+        let lower_bound = graph_blind_lower_bound(inst);
+        // A schedule that meets a lower bound is optimal, whichever
+        // engine built it.
+        let guarantee = if best.makespan == lower_bound {
+            Guarantee::Optimal
+        } else {
+            strongest_guarantee(inst, &attempts, best.guarantee)
+        };
         Ok(SolveReport {
             schedule: best.schedule,
             makespan: best.makespan,
             method,
             guarantee,
-            lower_bound: graph_blind_lower_bound(inst),
+            lower_bound,
             attempts,
             total_time: t0.elapsed(),
             race_time,
@@ -590,14 +597,6 @@ fn strongest_guarantee(inst: &Instance, attempts: &[EngineRun], own: Guarantee) 
     best
 }
 
-/// Graph-oblivious lower bound on `C*_max` from `bisched_model::bounds`.
-fn graph_blind_lower_bound(inst: &Instance) -> Rat {
-    match inst.env() {
-        MachineEnvironment::Unrelated { times } => Rat::integer(unrelated_lower_bound(times)),
-        _ => capacity_lower_bound(&inst.speeds(), inst.processing_all()),
-    }
-}
-
 // A `Solver` is shared across the portfolio race's threads, and the
 // service shares `SolveReport`s between connection threads through its
 // caches; keep both facts checked at compile time.
@@ -613,7 +612,7 @@ const _: () = {
 mod tests {
     use super::*;
     use bisched_graph::Graph;
-    use bisched_model::Instance;
+    use bisched_model::{Instance, Rat};
 
     fn solver() -> Solver {
         Solver::new()
@@ -756,6 +755,77 @@ mod tests {
         assert_eq!(s.guarantee, Guarantee::Optimal);
         let opt = bisched_exact::brute_force(&inst).unwrap();
         assert_eq!(s.makespan, opt.makespan);
+    }
+
+    /// Speeds 4, 4, 1, 1 and `Σp = 45`: the optimum 19/4 is the floored
+    /// cover, above `Σp/Σs = 9/2`. Both exact engines start from the
+    /// cover, so each proves the optimum itself and CP's binary search
+    /// runs no UNSAT probe.
+    #[test]
+    fn exact_engines_prove_a_q_optimum_at_the_floored_cover() {
+        let inst = Instance::uniform(
+            vec![4, 4, 1, 1],
+            vec![5, 1, 6, 7, 7, 3, 5, 4, 1, 6],
+            Graph::from_edges(10, &[(1, 8), (2, 7), (3, 5), (4, 6), (4, 8)]),
+        )
+        .unwrap();
+        let opt = Rat::new(19, 4);
+        assert!(Rat::new(inst.total_processing(), 10) < opt);
+        for method in [Method::BranchAndBound, Method::Cp] {
+            let s = SolverConfig::new()
+                .method(method)
+                .build()
+                .unwrap()
+                .solve(&inst)
+                .unwrap();
+            assert_eq!((s.makespan, s.lower_bound), (opt, opt), "{method}");
+            assert_eq!(s.guarantee, Guarantee::Optimal, "{method}");
+            let run = &s.attempts[0];
+            assert!(
+                matches!(
+                    run.outcome,
+                    EngineOutcome::Solved {
+                        guarantee: Guarantee::Optimal,
+                        ..
+                    }
+                ),
+                "{method} proves the optimum itself: {:?}",
+                run.outcome
+            );
+            if method == Method::Cp {
+                assert_eq!(run.stats.get("probes_unsat"), Some(0));
+            }
+        }
+    }
+
+    #[test]
+    fn an_answer_that_meets_the_lower_bound_is_optimal() {
+        // Greedy carries no guarantee of its own, but on three identical
+        // machines and six unit jobs with no edges its makespan 2 is
+        // ⌈6/3⌉, the reported bound.
+        let inst = Instance::identical(3, vec![1; 6], Graph::empty(6)).unwrap();
+        let greedy = SolverConfig::new()
+            .method(Method::GreedyLpt)
+            .build()
+            .unwrap();
+        let s = greedy.solve(&inst).unwrap();
+        assert_eq!(
+            (s.makespan, s.lower_bound),
+            (Rat::integer(2), Rat::integer(2))
+        );
+        assert_eq!(s.guarantee, Guarantee::Optimal);
+        assert!(matches!(
+            s.attempts[0].outcome,
+            EngineOutcome::Solved {
+                guarantee: Guarantee::Heuristic,
+                ..
+            }
+        ));
+        // Above the bound the engine's own label stands.
+        let tight = Instance::identical(2, vec![2, 2, 2], Graph::empty(3)).unwrap();
+        let s = greedy.solve(&tight).unwrap();
+        assert!(s.makespan > s.lower_bound);
+        assert_eq!(s.guarantee, Guarantee::Heuristic);
     }
 
     #[test]

@@ -129,12 +129,14 @@ pub struct SolveReport {
     /// The engine that produced **this** schedule (when several ran, the
     /// one whose schedule won).
     pub method: Method,
-    /// The strongest guarantee that provably applies to this schedule.
+    /// The strongest guarantee that provably applies to this schedule:
+    /// [`Guarantee::Optimal`] when its makespan equals `lower_bound`,
+    /// otherwise the best any solved engine carries.
     pub guarantee: Guarantee,
-    /// An unconditional lower bound on `C*_max` from
-    /// `bisched_model::bounds` (capacity bound for `P`/`Q`, per-job row
-    /// minima for `R`; ignores the incompatibility graph, so `C*` may be
-    /// strictly larger).
+    /// An unconditional lower bound on `C*_max`,
+    /// `bisched_model::graph_blind_lower_bound` (capacity bound for
+    /// `P`/`Q`, per-job row minima for `R`; ignores the incompatibility
+    /// graph, so `C*` may be strictly larger).
     pub lower_bound: Rat,
     /// Every engine invocation this solve performed, in execution order —
     /// including fallbacks that lost and methods that did not apply.

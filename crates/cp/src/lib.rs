@@ -18,11 +18,13 @@
 //! ## Search
 //!
 //! The optimum is found by binary-searching `T` downward from a greedy
-//! incumbent ([`bisched_exact::greedy_incumbent`]) to the root bound of
-//! [`bisched_exact::lower_bounds`] (the fractional, largest-job and
-//! edge-pair bounds, rounded up into scaled units; on `Q` it divides the
-//! total work by the total speed). Each probe runs a propagation-backed
-//! decision search —
+//! incumbent ([`bisched_exact::greedy_incumbent`]) to
+//! [`bisched_model::bounds::root_bound`], rounded up into scaled units:
+//! on `P`/`Q` the floored cover of Lemma 10 (`Σ_i ⌊s_i·T⌋ ≥ Σ p_j`) and
+//! the largest job on the fastest machine, plus on `Q` the edge-pair
+//! bound; on `R` the row-minimum bound. When the incumbent meets that
+//! bound no probe runs. Each probe runs a propagation-backed decision
+//! search —
 //!
 //! * **load/horizon propagation**: assigning a job removes every
 //!   machine whose remaining capacity under `T` it would overflow from
@@ -48,7 +50,7 @@
 #![warn(missing_docs)]
 use bisched_exact::bruteforce::Optimum;
 use bisched_exact::search_ctl::SearchCtl;
-use bisched_model::{Instance, MachineEnvironment, Rat, Schedule};
+use bisched_model::{bounds::root_bound, Instance, MachineEnvironment, Rat, Schedule};
 use bisched_obs::names;
 use std::time::{Duration, Instant};
 
@@ -335,13 +337,11 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a.max(1)
 }
 
-/// The lower bounds module's root bound (fractional load over the total
-/// speed, the largest job on the fastest machine, the edge-pair bound)
-/// rounded up into scaled units: `L·OPT` is an integer at or above
-/// `L·bound`, so the ceiling is still a lower bound. Capped at `t_max`,
-/// which bounds every feasible scaled makespan.
+/// [`root_bound`] rounded up into scaled units: `L·OPT` is an integer
+/// at or above `L·bound`, so the ceiling is still a lower bound. Capped
+/// at `t_max`, which bounds every feasible scaled makespan.
 fn scaled_root_bound(inst: &Instance, scale: u64, t_max: u64) -> u64 {
-    let root = bisched_exact::lower_bounds::root_lower_bound(inst).to_rat();
+    let root = root_bound(inst);
     (root.num() as u128 * scale as u128)
         .div_ceil(root.den() as u128)
         .min(t_max as u128) as u64

@@ -7,7 +7,8 @@
 //!
 //! * the incumbent found by a graph-aware greedy,
 //! * the incremental graph-aware bounds of [`crate::lower_bounds`]
-//!   (fractional load, max-remaining-job, machine exclusion, edge pair),
+//!   (fractional load, max-remaining-job, machine exclusion, and the
+//!   static root bound of `bisched_model::bounds::root_bound`),
 //! * per-candidate completion-time cuts (candidates are tried best-first
 //!   and abandoned wholesale once one reaches the incumbent), and
 //! * identical-machine symmetry breaking: a job may only *open* the

@@ -19,9 +19,13 @@
 //!   which is what closes dense bipartite nodes the fractional bound
 //!   cannot.
 //!
-//! A static **edge-pair bound** (two adjacent jobs must occupy two
-//! distinct machines, at best the two fastest) is computed once at the
-//! root and folded into every query.
+//! A static **root term**, [`bisched_model::bounds::root_bound`], is
+//! computed once and folded into every query: on `P`/`Q` the floored
+//! cover of Lemma 10 (`Σ_i ⌊s_i·T⌋ ≥ Σ p_j`) and the largest job on the
+//! fastest machine, plus on `Q` the edge-pair bound (two adjacent jobs
+//! occupy two distinct machines, at best the two fastest); on `R` the
+//! row-minimum bound. The CP engine starts its makespan search from the
+//! same bound.
 //!
 //! Updates are `O((deg(j) + m) · ⌈n/64⌉)` per assign/unassign — constant
 //! word work per neighbor at oracle scales (`n ≲ 64`) — and the bound
@@ -30,12 +34,10 @@
 //! Every bound term is a work total over a speed total, and the query
 //! returns the largest one as an unreduced [`Frac`] `(work, speed)`
 //! pair: no gcd and no division on the search's hot path, and an exact
-//! comparison by `u128` cross-multiplication. [`root_lower_bound`] is
-//! the same query with nothing assigned; the CP engine starts its
-//! makespan search from it.
+//! comparison by `u128` cross-multiplication.
 
 use crate::bitset::BitSet;
-use bisched_model::{Instance, MachineEnvironment, Rat};
+use bisched_model::{bounds::root_bound, Instance, MachineEnvironment, Rat};
 use std::cmp::Ordering;
 
 /// An unreduced fraction `work / speed`: a completion time, a makespan
@@ -85,14 +87,6 @@ impl Ord for Frac {
     }
 }
 
-/// The bound at the root of the search (no job assigned): the
-/// fractional, largest-job and edge-pair bounds. No schedule of `inst`
-/// has a smaller makespan.
-pub fn root_lower_bound(inst: &Instance) -> Frac {
-    let order: Vec<u32> = (0..inst.num_jobs() as u32).collect();
-    IncrementalBounds::new(inst, &order).lower_bound(&vec![0; inst.num_machines()], 0)
-}
-
 /// Incrementally maintained state: conflict masks, per-machine job sets,
 /// per-machine forbidden remaining work, and the static suffix tables.
 #[derive(Clone, Debug)]
@@ -118,7 +112,7 @@ pub struct IncrementalBounds {
     /// `forbidden[i]` = Σ weight over unassigned jobs that conflict with
     /// machine `i`'s current contents (can never run on `i`).
     forbidden: Vec<u64>,
-    /// Static root bound: the best edge-pair bound over all edges.
+    /// Static root term: [`root_bound`] of the instance.
     root_bound: Frac,
 }
 
@@ -152,23 +146,7 @@ impl IncrementalBounds {
             suffix_sum[d] = suffix_sum[d + 1] + w;
             suffix_max[d] = suffix_max[d + 1].max(w);
         }
-        // Edge-pair bound: two adjacent jobs occupy two distinct machines,
-        // at best the two fastest. For `R` the per-job min-row maximum
-        // (the `suffix_max` bound at the root) already dominates it.
-        let mut root_bound = Frac::ZERO;
-        if m >= 2 && !matches!(inst.env(), MachineEnvironment::Unrelated { .. }) {
-            let mut top2: Vec<u64> = speeds.clone();
-            top2.sort_unstable_by(|a, b| b.cmp(a));
-            let pair_speed = top2[0] + top2[1];
-            for u in 0..n as u32 {
-                for &v in graph.neighbors(u) {
-                    if v > u {
-                        let b = Frac::new(weight[u as usize] + weight[v as usize], pair_speed);
-                        root_bound = root_bound.max(b);
-                    }
-                }
-            }
-        }
+        let root = root_bound(inst);
         IncrementalBounds {
             conflict,
             machine_jobs: vec![BitSet::new(n); m],
@@ -180,7 +158,7 @@ impl IncrementalBounds {
             suffix_sum,
             suffix_max,
             forbidden: vec![0; m],
-            root_bound,
+            root_bound: Frac::new(root.num(), root.den()),
         }
     }
 

@@ -6,7 +6,7 @@ use bisched_exact::{
     q_complete_bipartite_unit, r2_bipartite_exact,
 };
 use bisched_graph::{gilbert_bipartite, Graph};
-use bisched_model::{Instance, JobSizes};
+use bisched_model::{graph_blind_lower_bound, root_bound, Instance, JobSizes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,4 +119,41 @@ fn greedy_incumbent_never_beats_exact() {
         let exact = brute_force(&inst).unwrap();
         assert!(greedy.makespan >= exact.makespan);
     }
+}
+
+/// The served bound ≤ the root bound both exact engines start from ≤ the
+/// brute-force optimum, on random `P`, `Q` and `R` instances with
+/// `n ≤ 9`. The run must also see the edge pair lift the root above the
+/// served bound, and the root meet the optimum.
+#[test]
+fn root_bound_sits_between_the_served_bound_and_the_optimum() {
+    let mut rng = StdRng::seed_from_u64(311);
+    let (mut lifted, mut tight) = (0, 0);
+    for trial in 0..300 {
+        let n = rng.gen_range(1..=9);
+        let m = rng.gen_range(2..=4);
+        let g = gilbert_bipartite(n / 2, n - n / 2, rng.gen_range(0.0..0.8), &mut rng);
+        let p = JobSizes::Uniform { lo: 1, hi: 12 }.sample(n, &mut rng);
+        let inst = match trial % 3 {
+            0 => Instance::identical(m, p, g).unwrap(),
+            1 => {
+                let speeds = (0..m).map(|_| rng.gen_range(1..=7)).collect();
+                Instance::uniform(speeds, p, g).unwrap()
+            }
+            _ => {
+                let times = (0..m)
+                    .map(|_| (0..n).map(|_| rng.gen_range(1..=12)).collect())
+                    .collect();
+                Instance::unrelated(times, g).unwrap()
+            }
+        };
+        let served = graph_blind_lower_bound(&inst);
+        let root = root_bound(&inst);
+        let opt = brute_force(&inst).expect("bipartite on m >= 2").makespan;
+        assert!(served <= root, "{}: {served} > {root}", inst.describe());
+        assert!(root <= opt, "{}: {root} > {opt}", inst.describe());
+        lifted += (served < root) as u32;
+        tight += (root == opt) as u32;
+    }
+    assert!(lifted > 0 && tight > 0, "lifted {lifted}, tight {tight}");
 }

@@ -6,7 +6,8 @@
 //! them within the `cp` config's node budget, branch and bound within the
 //! `race` config's, and the two proofs must agree. A registry edit that
 //! drifts a cell out of reach of either budget fails here rather than in
-//! the bench gate.
+//! the bench gate. Two `Q` cells pin the root bound both engines start
+//! from.
 
 use bisched_core::{Guarantee, Method, SolveReport};
 use bisched_lab::{suite, NamedConfig, Suite};
@@ -69,10 +70,10 @@ fn both_engines_prove_the_dense_cells_within_their_lab_budgets() {
     }
 }
 
-/// CP's binary search starts from the speed-aware root bound 67/5, which
-/// rounds up in CP's quarter units to the optimum 27/2, so the `cp`
-/// config proves the `Q` oracle cell. Starting from total work over
-/// `m·s_max`, it spent the whole 60k-node budget and stopped at 15.
+/// CP's binary search starts from the floored cover 27/2, the optimum,
+/// so the `cp` config proves the `Q` oracle cell. Starting from total
+/// work over `m·s_max`, it spent the whole 60k-node budget and stopped
+/// at 15.
 #[test]
 fn cp_config_proves_the_q4_oracle_cell() {
     let quick = suite("quick").expect("quick suite exists");
@@ -86,4 +87,27 @@ fn cp_config_proves_the_q4_oracle_cell() {
     assert_eq!(report.method, Method::Cp);
     assert_eq!(report.guarantee, Guarantee::Optimal);
     assert_eq!(report.makespan, bisched_model::Rat::new(27, 2));
+}
+
+/// CP finds makespan 14 on `q8-gilbert-super-unit`, the floored cover.
+/// Starting from the fractional bound 96/7 it spent the `cp` config's
+/// whole 60k-node budget failing to prove that; starting from the cover
+/// it proves it. The engine's own `complete` counter is checked, since a
+/// report whose makespan meets its lower bound reads `optimal` anyway.
+#[test]
+fn cp_config_proves_the_q8_super_unit_cell() {
+    let quick = suite("quick").expect("quick suite exists");
+    let cp = &config(&quick, "cp").config;
+    let scenario = quick
+        .scenarios
+        .iter()
+        .find(|s| s.name == "q8-gilbert-super-unit")
+        .expect("the quick suite has the Q8 super-critical cell");
+    let report = solve(cp, &scenario.build());
+    assert_eq!(report.method, Method::Cp);
+    assert_eq!(report.guarantee, Guarantee::Optimal);
+    assert_eq!(report.makespan, bisched_model::Rat::integer(14));
+    let run = report.winner_run().expect("cp ran");
+    assert_eq!(run.stats.get("complete"), Some(1));
+    assert!(run.stats.get("nodes").unwrap() < cp.cp_node_limit);
 }

@@ -11,7 +11,12 @@
 //! in Lemma 10's proof: start from the relaxed bound `demand / Σ s_i` (at
 //! which the floored capacities are short by less than `m`), then advance
 //! through per-machine capacity-increment events in time order. `O(m log m)`.
+//!
+//! Two instance-level bounds are built from these pieces:
+//! [`graph_blind_lower_bound`] is the bound a solve report serves, and
+//! [`root_bound`] adds the one graph term the exact engines start from.
 
+use crate::instance::{Instance, MachineEnvironment};
 use crate::rational::Rat;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -117,9 +122,43 @@ pub fn unrelated_lower_bound(times: &[Vec<u64>]) -> u64 {
     max_min.max(total_min.div_ceil(m as u64))
 }
 
+/// The lower bound a solve report serves: on `P`/`Q` the floored cover
+/// and `p_max / s_1` ([`capacity_lower_bound`]), on `R` the row-minimum
+/// bound ([`unrelated_lower_bound`]). It ignores the incompatibility
+/// graph, so `C*_max` may be strictly larger.
+pub fn graph_blind_lower_bound(inst: &Instance) -> Rat {
+    match inst.env() {
+        MachineEnvironment::Unrelated { times } => Rat::integer(unrelated_lower_bound(times)),
+        _ => capacity_lower_bound(&inst.speeds(), inst.processing_all()),
+    }
+}
+
+/// The bound branch and bound and CP start from:
+/// [`graph_blind_lower_bound`] joined with the edge-pair bound. Two
+/// adjacent jobs run on two distinct machines, at best the two fastest,
+/// so on `Q` no schedule ends before `(p_u + p_v) / (s_1 + s_2)` for any
+/// edge `uv`. On `P` that is at most `p_max`, and on `R` the row-minimum
+/// bound stands alone.
+pub fn root_bound(inst: &Instance) -> Rat {
+    let bound = graph_blind_lower_bound(inst);
+    let pair_speed = match inst.env() {
+        MachineEnvironment::Uniform { speeds } if speeds.len() >= 2 => speeds[0] + speeds[1],
+        _ => return bound,
+    };
+    let p = inst.processing_all();
+    let heaviest_pair = inst
+        .graph()
+        .edges()
+        .map(|(u, v)| p[u as usize] + p[v as usize])
+        .max()
+        .unwrap_or(0);
+    bound.max(Rat::new(heaviest_pair, pair_speed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bisched_graph::Graph;
 
     /// Oracle: linear scan over candidate times `c / s_i`.
     fn min_cover_oracle(speeds: &[u64], demand: u64) -> Rat {
@@ -239,6 +278,33 @@ mod tests {
             capacity_lower_bound(&[2, 1], &[10, 1]),
             Rat::new(10, 2).max(Rat::new(11, 3))
         );
+    }
+
+    #[test]
+    fn root_bound_adds_the_edge_pair_on_uniform_machines() {
+        // Speeds (4, 1, 1), two adjacent size-10 jobs: the floored cover
+        // is 7/2 and p_max/s_1 is 5/2, but the pair needs both of the two
+        // fastest machines, 20/5 = 4.
+        let inst = Instance::uniform(vec![4, 1, 1], vec![10, 10], Graph::path(2)).unwrap();
+        assert_eq!(graph_blind_lower_bound(&inst), Rat::new(7, 2));
+        assert_eq!(root_bound(&inst), Rat::integer(4));
+        // Without the edge the cover stands.
+        let free = Instance::uniform(vec![4, 1, 1], vec![10, 10], Graph::empty(2)).unwrap();
+        assert_eq!(root_bound(&free), Rat::new(7, 2));
+    }
+
+    #[test]
+    fn root_bound_on_identical_and_unrelated_machines() {
+        // P: an edge pair never beats p_max, 9 here.
+        let p = Instance::identical(2, vec![9, 1, 1], Graph::path(3)).unwrap();
+        assert_eq!(root_bound(&p), Rat::integer(9));
+        // R: the row-minimum bound alone, edges or not.
+        let r = Instance::unrelated(vec![vec![4, 9, 4], vec![7, 4, 8]], Graph::path(3)).unwrap();
+        assert_eq!(root_bound(&r), Rat::integer(6));
+        assert_eq!(root_bound(&r), graph_blind_lower_bound(&r));
+        // One machine has no pair to split over.
+        let one = Instance::uniform(vec![3], vec![6, 3], Graph::empty(2)).unwrap();
+        assert_eq!(root_bound(&one), Rat::integer(3));
     }
 
     #[test]

@@ -17,8 +17,8 @@ pub mod rational;
 pub mod schedule;
 
 pub use bounds::{
-    capacity_lower_bound, cstar_double_max, floor_capacities, floor_capacity, min_time_to_cover,
-    unrelated_lower_bound,
+    capacity_lower_bound, cstar_double_max, floor_capacities, floor_capacity,
+    graph_blind_lower_bound, min_time_to_cover, root_bound, unrelated_lower_bound,
 };
 pub use canonical::{canonicalize, Canonical};
 pub use generators::{JobSizes, SpeedProfile, UnrelatedFamily};
