@@ -867,6 +867,7 @@ mod tests {
             }
         }
         // Branch and bound completed, so the portfolio's best is optimal.
+        assert_eq!(s.attempts[2].stats.get("complete"), Some(1));
         assert_eq!(s.guarantee, Guarantee::Optimal);
     }
 

@@ -75,8 +75,10 @@
 //! `--node-limit`) and an optional wall-clock deadline
 //! ([`SolverConfig::bnb_deadline`](core::SolverConfig), CLI
 //! `--bnb-deadline-ms`). A search truncated by either returns its best
-//! incumbent as a `Heuristic`; a search that finishes — even on its very
-//! last budgeted node — is `Optimal`:
+//! incumbent as a `Heuristic` (the report still reads `Optimal` when that
+//! incumbent meets the reported lower bound); a search that finishes —
+//! even on its very last budgeted node — is `Optimal`, and its `complete`
+//! counter reads 1:
 //!
 //! ```
 //! use bisched::prelude::*;
@@ -91,6 +93,7 @@
 //!     .unwrap();
 //! let report = solver.solve(&inst).unwrap();
 //! assert_eq!(report.guarantee, Guarantee::Optimal);
+//! assert_eq!(report.attempts[0].stats.get("complete"), Some(1));
 //! ```
 //!
 //! ## FPTAS knobs

@@ -123,6 +123,15 @@ fn auto_prefers_proven_optima_on_small_instances() {
     let report = Solver::new().solve(&inst).unwrap();
     assert_eq!(report.method, Method::BranchAndBound);
     assert_eq!(report.guarantee, Guarantee::Optimal);
+    // The search itself proved it: the makespan also meets the lower
+    // bound, which would label the report optimal without a proof.
+    assert!(matches!(
+        report.winner_run().unwrap().outcome,
+        EngineOutcome::Solved {
+            guarantee: Guarantee::Optimal,
+            ..
+        }
+    ));
     let opt = bisched::exact::brute_force(&inst).unwrap();
     assert_eq!(report.makespan, opt.makespan);
 }
