@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | any, `n ≤ auto_exact_jobs` | branch & bound, then CP when the node budget ran out | optimal when either search completes |
 //! | `Q2`/`P2`, `Σp_j ≤ exact_budget` | exact subset-sum DP | optimal (Theorem 4 regime) |
-//! | `P`, `m ≥ 3` | best of BJW \[3\] and Algorithm 1 | `2 · C*` when BJW ran (best possible, \[3\]) |
+//! | `P`, `m ≥ 3` | best of BJW \[3\] and Algorithm 1 (skipped when BJW meets the lower bound) | `2 · C*` when BJW ran (best possible, \[3\]) |
 //! | `Q`, `m ≥ 3` (or huge `Σp_j`) | Algorithm 1 | `√(Σp_j) · C*` (Theorem 9) |
 //! | `R2`, row mass ≤ `exact_budget` | exact load DP | optimal |
 //! | `R2` otherwise | Algorithm 5 (FPTAS); Algorithm 4 if its state cap fails it | `(1+ε) · C*` (Theorem 22); `2 · C*` (Theorem 21) |
@@ -71,7 +71,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bisched_exact::SearchCtl;
-use bisched_model::{graph_blind_lower_bound, Instance, MachineEnvironment};
+use bisched_model::{graph_blind_lower_bound, Instance, MachineEnvironment, Rat};
 use bisched_obs::names;
 
 use engines::{run_method, run_method_ctl, EngineFailure, EngineSolution};
@@ -169,10 +169,11 @@ impl Solver {
         if inst.num_machines() == 1 && inst.graph().num_edges() > 0 {
             return Err(SolveError::Infeasible);
         }
+        let lower_bound = graph_blind_lower_bound(inst);
         let mut attempts: Vec<EngineRun> = Vec::new();
         let mut race_time = None;
         let outcome = match &self.config.policy {
-            MethodPolicy::Auto => self.solve_auto(inst, &mut attempts),
+            MethodPolicy::Auto => self.solve_auto(inst, &lower_bound, &mut attempts),
             MethodPolicy::Force(method) => match self.attempt(inst, *method, &mut attempts) {
                 Some(sol) => Ok((sol, *method)),
                 None => Err(match attempts.last().map(|a| &a.outcome) {
@@ -194,7 +195,6 @@ impl Solver {
             }
         };
         let (best, method) = outcome?;
-        let lower_bound = graph_blind_lower_bound(inst);
         // A schedule that meets a lower bound is optimal, whichever
         // engine built it.
         let guarantee = if best.makespan == lower_bound {
@@ -469,10 +469,12 @@ impl Solver {
     }
 
     /// The `Auto` policy: the module-level dispatch table, with every
-    /// fallback recorded.
+    /// fallback recorded. Algorithm 1 is skipped once an earlier answer
+    /// meets the reported `lower_bound`: it could not beat it.
     fn solve_auto(
         &self,
         inst: &Instance,
+        lower_bound: &Rat,
         attempts: &mut Vec<EngineRun>,
     ) -> Result<(EngineSolution, Method), SolveError> {
         let cfg = &self.config;
@@ -535,13 +537,19 @@ impl Solver {
                 if matches!(inst.env(), MachineEnvironment::Identical { .. }) && m >= 3 {
                     // Best-of: BJW carries the stronger (ratio 2) label,
                     // but Algorithm 1 sometimes builds the better
-                    // schedule; both run, the winner is reported.
+                    // schedule; both run unless BJW meets the lower
+                    // bound, and the winner is reported.
                     if let Some(sol) = self.attempt(inst, Method::Bjw, attempts) {
                         candidates.push((Method::Bjw, sol));
                     }
                 }
-                if let Some(sol) = self.attempt(inst, Method::Alg1, attempts) {
-                    candidates.push((Method::Alg1, sol));
+                let bound_met = candidates
+                    .iter()
+                    .any(|(_, sol)| sol.makespan == *lower_bound);
+                if !bound_met {
+                    if let Some(sol) = self.attempt(inst, Method::Alg1, attempts) {
+                        candidates.push((Method::Alg1, sol));
+                    }
                 }
             }
         }
@@ -826,6 +834,23 @@ mod tests {
         let s = greedy.solve(&tight).unwrap();
         assert!(s.makespan > s.lower_bound);
         assert_eq!(s.guarantee, Guarantee::Heuristic);
+    }
+
+    #[test]
+    fn auto_stops_at_a_bjw_answer_that_meets_the_bound() {
+        // The crown S₆₄ on eight identical machines with unit jobs: BJW
+        // packs the 128 jobs into makespan 16 = ⌈128/8⌉, the reported
+        // bound, so Algorithm 1 has nothing left to beat.
+        let inst = Instance::identical(8, vec![1; 128], Graph::crown(64)).unwrap();
+        let s = solver().solve(&inst).unwrap();
+        assert_eq!(
+            (s.makespan, s.lower_bound),
+            (Rat::integer(16), Rat::integer(16))
+        );
+        assert_eq!(s.method, Method::Bjw);
+        assert_eq!(s.guarantee, Guarantee::Optimal);
+        let methods: Vec<Method> = s.attempts.iter().map(|a| a.method).collect();
+        assert_eq!(methods, [Method::Bjw]);
     }
 
     #[test]

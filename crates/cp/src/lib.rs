@@ -205,6 +205,11 @@ pub fn cp_solve_ctl(
     let mut complete = true;
     loop {
         let mut hi = best.as_ref().map(|(_, s)| *s).unwrap_or(t_max);
+        // A range this run closed itself is a proof, whatever the race
+        // did meanwhile: check it before the cancel flag.
+        if lo >= hi {
+            break;
+        }
         if let Some(ctl) = ctl {
             if ctl.cancelled() {
                 stats.cancelled = true;
@@ -863,6 +868,23 @@ mod tests {
         let out = cp_solve_ctl(&inst, &CpLimits::default(), Some(&ctl)).expect("applicable");
         assert!(!out.complete);
         assert!(out.cancelled);
+    }
+
+    #[test]
+    fn a_range_closed_by_the_incumbent_is_proven_even_when_cancelled() {
+        // LPT fills both machines to 5 = Σp/m, the root bound, so the
+        // range is closed before any probe. A race that cancels in the
+        // meantime must not hide that proof.
+        let inst = Instance::identical(2, vec![3, 3, 2, 2], Graph::empty(4)).unwrap();
+        let ctl = SearchCtl::new();
+        ctl.cancel();
+        let out = cp_solve_ctl(&inst, &CpLimits::default(), Some(&ctl)).expect("applicable");
+        assert!(out.complete);
+        assert!(!out.cancelled);
+        let best = out.best.expect("feasible");
+        assert_eq!(best.makespan, Rat::new(5, 1));
+        assert_eq!(out.proven_lower, Some(best.makespan));
+        assert_eq!(out.nodes, 0);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! (FPTAS for `R2 | G = bipartite | C_max`) and Theorem 4 (`O(n³)` exact
 //! algorithm for `Q2 | G = bipartite, p_j=1`).
 //!
-//! Implemented as a Horowitz–Sahni Pareto sweep with `(1+ε/2n)` log-grid
-//! trimming (the substitution rationale is in [`rm_cmax`]). `ε = 0`
-//! yields the exact pseudo-polynomial Pareto DP.
+//! Implemented as a Horowitz–Sahni Pareto sweep trimmed on an additive
+//! grid: each layer buckets machine-0 loads in steps of
+//! `w = max(1, ⌊ε·LB/n⌋)`, for a lower bound `LB` on the optimum and `n`
+//! columns. The `n` trims add at most `n·w ≤ ε·LB ≤ ε·OPT` to the
+//! makespan (the analysis is in [`rm_cmax`]). `ε = 0` gives `w = 1`, the
+//! exact pseudo-polynomial Pareto DP.
 //!
 //! The sweep is the hot path under nearly every `Auto` solve. Each layer
 //! stays sorted by machine-0 load, and one linear merge of the parent
@@ -21,17 +24,11 @@
 //! layer). [`rm_cmax_fptas_with`] exposes the knobs: a
 //! [`state_cap`](FptasParams::state_cap) bounding any layer's width after
 //! dominance (coarsening ε up to 1, then a typed [`FptasError`]) and a
-//! pruning toggle. Bucketing is the monotone integer grid of
-//! [`bucket::BucketGrid`], whose build writes the clamped identity prefix
-//! directly and tracks the geometric tail by multiplication, with `powi`
-//! only where its ceiling could differ: the edges are bit-identical to
-//! one `powi` per edge.
+//! pruning toggle.
 
 #![warn(missing_docs)]
-pub mod bucket;
 pub mod rm_cmax;
 
-pub use bucket::BucketGrid;
 pub use rm_cmax::{
     makespan_of, rm_cmax_exact, rm_cmax_fptas, rm_cmax_fptas_with, FptasError, FptasParams,
     FptasResult,

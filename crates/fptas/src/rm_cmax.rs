@@ -4,14 +4,21 @@
 //! Algorithm 5 and Theorem 4. Any `(1+ε)` scheme preserves every claim, so
 //! we implement the classical Horowitz–Sahni approach instead: sweep jobs,
 //! maintain the set of reachable machine-load pairs `(l0, l1)`, and *trim*
-//! after every job by bucketing `l0` on a `(1+δ)` log-grid (δ = ε/2n) while
-//! keeping the exact minimum `l1` per bucket.
+//! after every job by bucketing `l0` on an additive grid of width
+//! `w = max(1, ⌊ε·LB/n⌋)` while keeping the exact minimum `l1` per bucket.
+//! `n` counts the matrix's columns and `LB = max(⌈Σ_j min(p0j, p1j) / 2⌉,
+//! max_j min(p0j, p1j))` lower-bounds the optimum: every job adds at least
+//! its row minimum to one machine.
 //!
-//! Error analysis: each of the `n` trims perturbs coordinates by at most a
-//! `(1+δ)` factor, so the surviving pair nearest the optimum is within
-//! `(1+δ)^n ≤ e^{ε/2} ≤ 1+ε` (for `ε ≤ 2`). With `ε = 0` no trimming
-//! happens and the sweep degenerates to the exact pseudo-polynomial Pareto
-//! DP — the mode Theorem 4 exploits with `ε = 1/(n+1)`-style parameters.
+//! Error analysis: a trim replaces a state by its bucket's representative,
+//! whose `l0` is at most `w − 1` larger and whose `l1` is no larger. The
+//! errors add up instead of compounding, so after `n` trims a surviving
+//! state sits within `n·w ≤ ε·LB ≤ ε·OPT` of the optimum's loads, and its
+//! makespan is at most `(1+ε)·OPT`. `w` is the exact floor of `ε·LB/n`
+//! (see `bucket_width`): a rounded-up `f64` quotient would break
+//! `n·w ≤ ε·LB`. With `ε = 0`, `w = 1`: every distinct `l0` is its own
+//! bucket and the sweep is the exact pseudo-polynomial Pareto DP — the
+//! mode Theorem 4 exploits with `ε = 1/(n+1)`-style parameters.
 //!
 //! ## Who reaches the sweep
 //!
@@ -26,9 +33,9 @@
 //! Each layer is kept sorted by `l0`. Its two child lists, `(l0 + p0j,
 //! l1)` for job `j` on machine 0 and `(l0, l1 + p1j)` on machine 1, are
 //! then sorted too, so one linear merge visits every candidate in `l0`
-//! order. The grid's bucket is monotone in `l0`, so a bucket's candidates
-//! arrive as one contiguous run; a forward galloping cursor over the grid
-//! edges finds where each run ends.
+//! order. Bucket `k` is the interval `[k·w, (k+1)·w)`, so a bucket's
+//! candidates arrive as one contiguous run, whose end one division at its
+//! first candidate finds.
 //!
 //! * A run keeps its smallest `l1`. On an equal `l1` it keeps the smaller
 //!   `l0`, the candidate merged first.
@@ -48,15 +55,12 @@
 //!   on index. The incumbent, the suffix bounds and every sweep (coarsening
 //!   retries included) run on the sorted matrix, and the schedule is mapped
 //!   back to the caller's job order. The trimming bound above never uses
-//!   the order: each job is one trim of at most `(1+δ)`, whichever position
+//!   the order: each job is one trim of less than `w`, whichever position
 //!   it takes. Large jobs first keeps the trimmed layers narrow: the small
 //!   jobs come last, when they move the loads by less than a bucket, so
 //!   their children mostly merge back into their parents' buckets. And
 //!   since the sort key fixes the sorted matrix, the result, counters
 //!   included, does not depend on the caller's job order.
-//! * **Monotone integer grid** — bucketing goes through
-//!   [`BucketGrid`]: no `f64::ln` in the inner
-//!   loop, and boundary rounding can never destroy monotonicity.
 //! * **Incumbent pruning** — a greedy schedule (LPT on the per-job row
 //!   minima, min-resulting-load machine) seeds an upper bound; any state
 //!   whose larger load, or fractional-average completion bound
@@ -71,18 +75,11 @@
 //!   [`FptasError::StateCapExceeded`].
 //! * **Streaming memory** — only compact `(parent, machine)` backpointers
 //!   are retained per layer; the load arenas ping-pong between two
-//!   buffers, and scratch buffers are reused across layers. Peak RSS is
-//!   `O(n · width)`.
+//!   buffers, and each layer's backpointer buffers are sized from its
+//!   parent's width. Peak RSS is `O(n · width)`.
 
-use crate::bucket::BucketGrid;
 use bisched_model::Schedule;
 use bisched_obs::names;
-
-/// Past this many grid edges, materialising the trimming table stops
-/// paying for itself (δ so small that buckets are near-singletons); the
-/// sweep falls back to the exact Pareto DP, which is strictly more
-/// accurate.
-pub(crate) const MAX_GRID_EDGES: f64 = 4e6;
 
 /// The coarsest `ε` a state cap may force. Algorithm 5 pins its guard jobs
 /// with a cost that dominates `(1+ε)·OPT` only while `ε ≤ 1`.
@@ -189,10 +186,10 @@ pub fn rm_cmax_exact(times: &[Vec<u64>; 2]) -> FptasResult {
 ///
 /// The returned makespan is the better of the DP's best surviving final
 /// state and the greedy incumbent, which keeps the pruning guarantee-
-/// preserving: when the incumbent `UB ≥ (1+ε)·OPT`, the trimming
-/// analysis's witness path has every prefix bound `≤ (1+ε)·OPT ≤ UB` and
-/// is never pruned; when `UB < (1+ε)·OPT`, the incumbent itself already
-/// beats the promise.
+/// preserving: when the incumbent `UB ≥ OPT + ε·LB`, the trimming
+/// analysis's witness path has every prefix bound `≤ OPT + ε·LB ≤ UB` and
+/// is never pruned; when `UB < OPT + ε·LB`, the incumbent itself already
+/// meets the promise.
 pub fn rm_cmax_fptas_with(
     times: &[Vec<u64>; 2],
     params: &FptasParams,
@@ -225,10 +222,16 @@ pub fn rm_cmax_fptas_with(
         .map(|row| order.iter().map(|&j| row[j]).collect::<Vec<u64>>());
     let incumbent = greedy_incumbent(&sorted);
     let suffix_min = suffix_min_sums(&sorted);
+    // The grid's `LB`: half the row minima's sum, or the largest row
+    // minimum, which the sort put in column 0.
+    let lb = suffix_min[0]
+        .div_ceil(2)
+        .max(sorted[0][0].min(sorted[1][0]));
 
     let mut eps_eff = params.eps;
     loop {
-        match sweep(&sorted, eps_eff, params, &incumbent, &suffix_min) {
+        let w = bucket_width(eps_eff, lb, n);
+        match sweep(&sorted, w, params, &incumbent, &suffix_min) {
             Ok(mut result) => {
                 let mut assignment = vec![0u32; n];
                 for (&j, &i) in order.iter().zip(result.schedule.assignment()) {
@@ -314,6 +317,26 @@ fn greedy_incumbent(times: &[Vec<u64>; 2]) -> Incumbent {
     }
 }
 
+/// The widest bucket the error analysis allows: `max(1, ⌊ε·lb/n⌋)`, with
+/// the floor taken on the exact value of `ε·lb/n`, so `n·w ≤ ε·lb` holds
+/// exactly (an `f64` quotient can round up across an integer). An `ε` in
+/// `[0, 2]` is `mantissa · 2^-shift` with `shift ≥ 51`, and
+/// `⌊⌊x / 2^shift⌋ / n⌋ = ⌊x / (2^shift · n)⌋` for integers.
+fn bucket_width(eps: f64, lb: u64, n: usize) -> u64 {
+    debug_assert!((0.0..=2.0).contains(&eps));
+    let bits = eps.to_bits();
+    // Masked: `-0.0` passes the range check with its sign bit set.
+    let biased = (bits >> 52) as u32 & 0x7ff;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, shift) = match biased {
+        0 => (fraction, 1074),
+        _ => (fraction | 1 << 52, 1075 - biased),
+    };
+    let scaled = u128::from(mantissa) * u128::from(lb);
+    let w = scaled.checked_shr(shift).unwrap_or(0) / n as u128;
+    u64::try_from(w).unwrap_or(u64::MAX).max(1)
+}
+
 /// `suffix_min[j] = Σ_{k ≥ j} min(times[0][k], times[1][k])` — every
 /// yet-unassigned job adds at least its row minimum to *some* machine, so
 /// `(l0 + l1 + suffix_min[j]) / 2` lower-bounds any completion's max.
@@ -342,10 +365,15 @@ struct LayerBufs {
 }
 
 impl LayerBufs {
-    fn clear(&mut self) {
+    /// Empties the buffers for a layer whose parent holds `width` states.
+    /// The last layer's backpointers left with the chain, so those buffers
+    /// are sized here rather than regrown push by push.
+    fn start(&mut self, width: usize) {
         self.loads.clear();
         self.parent.clear();
         self.machine.clear();
+        self.parent.reserve(width);
+        self.machine.reserve(width);
     }
 
     fn len(&self) -> usize {
@@ -374,66 +402,19 @@ struct Run {
     best: Child,
 }
 
-/// Bucket lookups for loads visited in non-decreasing order: each lookup
-/// gallops forward from the previous one instead of searching every edge.
-struct BucketCursor<'a> {
-    edges: &'a [u64],
-    /// Number of edges `≤` the last load looked up (its bucket index).
-    at: usize,
-}
-
-impl BucketCursor<'_> {
-    /// Exclusive upper end of the bucket holding `load` (`u64::MAX` for
-    /// the open-ended last bucket). `load` must not be below the previous
-    /// call's.
-    #[inline]
-    fn end_of(&mut self, load: u64) -> u64 {
-        let edges = self.edges;
-        let mut lo = self.at;
-        if edges.get(lo).is_some_and(|&e| e <= load) {
-            // edges[..lo] ≤ load; double the probe until it overshoots,
-            // then binary-search the last stride.
-            lo += 1;
-            let mut step = 1;
-            while lo + step <= edges.len() && edges[lo + step - 1] <= load {
-                lo += step;
-                step *= 2;
-            }
-            let hi = (lo + step - 1).min(edges.len());
-            lo += edges[lo..hi].partition_point(|&e| e <= load);
-        }
-        self.at = lo;
-        edges.get(lo).copied().unwrap_or(u64::MAX)
-    }
-}
-
-/// One full sweep at a fixed effective `ε`: every layer sorted by `l0`,
-/// built by one merge of its parent's two sorted child lists (see the
-/// module docs). `Err(width)` reports a state-cap abort; the caller
+/// One full sweep on the grid of bucket width `w`: every layer sorted by
+/// `l0`, built by one merge of its parent's two sorted child lists (see
+/// the module docs). `Err(width)` reports a state-cap abort; the caller
 /// decides whether to coarsen or fail.
 fn sweep(
     times: &[Vec<u64>; 2],
-    eps: f64,
+    w: u64,
     params: &FptasParams,
     incumbent: &Incumbent,
     suffix_min: &[u64],
 ) -> Result<FptasResult, usize> {
     let n = times[0].len();
-    let delta = eps / (2.0 * n as f64);
     let ub = incumbent.makespan;
-    // Loads above the largest value the sweep can keep never need a
-    // bucket: with pruning everything past `ub` dies first; without it
-    // the worst reachable coordinate is the heavier row sum.
-    let max_kept_load = if params.prune {
-        ub
-    } else {
-        times[0].iter().sum::<u64>().max(times[1].iter().sum())
-    };
-    // δ = 0 (exact mode) — or a grid so fine it would be pointless to
-    // materialise — runs untrimmed: each distinct `l0` is its own bucket.
-    let grid = (delta > 0.0 && BucketGrid::projected_edges(delta, max_kept_load) <= MAX_GRID_EDGES)
-        .then(|| BucketGrid::new(delta, max_kept_load));
-
     let cap = params.state_cap.unwrap_or(usize::MAX);
     let mut chain = Chain::new(n);
     let mut cur = LayerBufs::default();
@@ -444,11 +425,7 @@ fn sweep(
         let prev = &chain.prev_loads;
         let width = prev.len();
         chain.expanded += 2 * width as u64;
-        cur.clear();
-        let mut cursor = grid.as_ref().map(|g| BucketCursor {
-            edges: g.edges(),
-            at: 0,
-        });
+        cur.start(width);
         let mut run: Option<Run> = None;
         let (mut a, mut b) = (0usize, 0usize);
         while a + b < 2 * width {
@@ -478,10 +455,9 @@ fn sweep(
                     continue;
                 }
             }
-            let end = match cursor.as_mut() {
-                Some(c) => c.end_of(child.loads[0]),
-                None => child.loads[0] + 1,
-            };
+            // A new run: its bucket `[k·w, (k+1)·w)` ends past `l0`.
+            let l0 = child.loads[0];
+            let end = (l0 - l0 % w).saturating_add(w);
             if let Some(done) = run.replace(Run { end, best: child }) {
                 close_run(&mut cur, &done.best, params.prune, cap, &mut chain.pruned)?;
             }
@@ -492,7 +468,7 @@ fn sweep(
         debug_assert!(
             cur.loads
                 .windows(2)
-                .all(|w| w[0][0] < w[1][0] && (!params.prune || w[0][1] > w[1][1])),
+                .all(|pair| pair[0][0] < pair[1][0] && (!params.prune || pair[0][1] > pair[1][1])),
             "layers are strictly increasing in l0 (and decreasing in l1 when pruned)"
         );
         if cur.len() == 0 {
@@ -808,30 +784,34 @@ mod tests {
     }
 
     #[test]
-    fn bucket_cursor_matches_bucket_lookup() {
-        // The merge trusts the cursor to end a run exactly where
-        // `BucketGrid::bucket` changes; a wider run would merge loads more
-        // than (1+δ) apart and quietly weaken the guarantee.
+    fn bucket_width_is_the_exact_floor() {
+        // ε = 0.3 is just below 3/10 in binary, so ε·20/3 is just below 2,
+        // yet the rounded f64 product 0.3 · 20 is exactly 6.0: an f64
+        // quotient reads 2 and would give n·w = 6 > ε·lb.
+        assert_eq!(0.3 * 20.0 / 3.0, 2.0);
+        assert_eq!(bucket_width(0.3, 20, 3), 1);
+        assert_eq!(
+            bucket_width(0.0, u64::MAX, 1),
+            1,
+            "ε = 0 is the exact sweep"
+        );
+        assert_eq!(bucket_width(-0.0, u64::MAX, 1), 1);
+        assert_eq!(bucket_width(2.0, u64::MAX, 1), u64::MAX);
+        // Dyadic ε = k/2^10 is exact in f64, so the floor has an integer
+        // reference.
         let mut rng = StdRng::seed_from_u64(61);
-        for &delta in &[0.5, 0.01, 1e-4] {
-            let grid = BucketGrid::new(delta, 1_000_000);
-            let mut cursor = BucketCursor {
-                edges: grid.edges(),
-                at: 0,
-            };
-            let mut load = 0u64;
-            while load < 1_500_000 {
-                let bucket = grid.bucket(load) as usize;
-                let end = grid.edges().get(bucket).copied().unwrap_or(u64::MAX);
-                assert_eq!(cursor.end_of(load), end, "δ={delta} load={load}");
-                // Mostly short strides, sometimes long jumps, sometimes a
-                // repeat of the same load.
-                load += match rng.gen_range(0..100) {
-                    0..=9 => 0,
-                    10..=11 => rng.gen_range(1_000..=100_000),
-                    _ => rng.gen_range(1..=50),
-                };
-            }
+        for _ in 0..10_000 {
+            let k = rng.gen_range(0..=2048u64);
+            let bits = rng.gen_range(0..=62);
+            let lb = rng.gen_range(0..=1u64 << bits);
+            let n = rng.gen_range(1..=400usize);
+            let exact = u128::from(k) * u128::from(lb) / (1024 * n as u128);
+            let want = (exact as u64).max(1);
+            assert_eq!(
+                bucket_width(k as f64 / 1024.0, lb, n),
+                want,
+                "k={k} lb={lb} n={n}"
+            );
         }
     }
 }

@@ -1,11 +1,9 @@
 //! Deep property tests of the `R2||C_max` FPTAS: the `(1+ε)` contract on
-//! arbitrary two-machine matrices, the full ε grid, and the pruned,
-//! streaming merge's invariants (pruning parity, width monotonicity, job
-//! order independence, bucket-grid monotonicity).
+//! arbitrary two-machine matrices, the full ε grid, the additive grid's
+//! `ε·LB` bound, and the pruned, streaming merge's invariants (pruning
+//! parity, width monotonicity, job order independence).
 
-use bisched_fptas::{
-    makespan_of, rm_cmax_exact, rm_cmax_fptas, rm_cmax_fptas_with, BucketGrid, FptasParams,
-};
+use bisched_fptas::{makespan_of, rm_cmax_exact, rm_cmax_fptas, rm_cmax_fptas_with, FptasParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -162,28 +160,33 @@ proptest! {
     }
 
     #[test]
-    fn bucket_grid_is_monotone(
-        delta_m in 1u32..=4000,
-        probes in proptest::collection::vec(1u64..=1_000_000, 16)
+    fn additive_grid_stays_within_eps_lb(
+        times in matrix(9, 100_000),
+        eps_pct in 1u32..=200,
+        prune in any::<bool>(),
     ) {
-        // The satellite property: bucketing must be monotone in the load
-        // — the seed's `(l.ln() * inv_log) as u64` could invert order
-        // near bucket edges under f64 rounding.
-        let delta = delta_m as f64 / 1000.0;
-        let grid = BucketGrid::new(delta, 1_000_000);
-        let mut sorted = probes.clone();
-        sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            prop_assert!(
-                grid.bucket(pair[0]) <= grid.bucket(pair[1]),
-                "delta={}: bucket({}) > bucket({})", delta, pair[0], pair[1]
-            );
-        }
-        // And adjacent loads never invert either (the exact failure mode
-        // of the ln-based grid).
-        for &l in &sorted {
-            prop_assert!(grid.bucket(l) <= grid.bucket(l + 1));
-        }
+        // The trims add up to less than `n·w ≤ ε·LB`, for the lower bound
+        // the sweep computes from the matrix itself: half the row minima's
+        // sum, or the largest row minimum. That is tighter than the
+        // `(1+ε)·OPT` contract whenever `LB < OPT`.
+        let eps = eps_pct as f64 / 100.0;
+        let row_min: Vec<u64> = (0..times[0].len())
+            .map(|j| times[0][j].min(times[1][j]))
+            .collect();
+        let lb = row_min
+            .iter()
+            .sum::<u64>()
+            .div_ceil(2)
+            .max(row_min.iter().copied().max().unwrap_or(0));
+        let exact = rm_cmax_exact(&times).makespan;
+        let mut p = FptasParams::new(eps);
+        p.prune = prune;
+        let approx = rm_cmax_fptas_with(&times, &p).unwrap();
+        prop_assert!(lb <= exact);
+        prop_assert!(
+            (approx.makespan - exact) as f64 <= eps * lb as f64,
+            "eps={}: {} vs exact {} + ε·LB, LB = {}", eps, approx.makespan, exact, lb
+        );
     }
 }
 
