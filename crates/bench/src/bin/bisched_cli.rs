@@ -15,12 +15,12 @@
 //!                   [--cache-snapshot <path>] [--log-level <level>]
 //!                   [--log-json] [--exemplar-k <n>] [--exemplar-window-s <s>]
 //! bisched_cli submit --addr <host:port> <file.jsonl> [--repeat <k>]
-//!                    [--method <m>] [--clients <k>] [--stall-us <us>]
-//!                    [--frame json|binary] [--no-cache] [--shutdown] [--json]
+//!                    [--method <m>] [--clients <k>] [--frame json|binary]
+//!                    [--no-cache] [--shutdown] [--json]
 //! bisched_cli metrics --addr <host:port>
 //! bisched_cli trace --addr <host:port> [--shard <i>] [--json]
 //! bisched_cli lab list
-//! bisched_cli lab run --suite <name>[,<name>...] [--out <path>]
+//! bisched_cli lab run --suite <name> [--out <path>]
 //!                     [--reps <n>] [--warmup <n>] [--trace-out <file>]
 //!                     [--profile-out <file>]
 //! bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
@@ -81,9 +81,7 @@
 //! K` is the saturation mode (K concurrent connections replay the
 //! workload with striped start offsets; the summary adds aggregate req/s
 //! and the daemon's per-shard hit rates), `--frame binary` negotiates
-//! the length-prefixed binary framing before submitting, `--stall-us`
-//! asks the daemon to hold each request on its shard for that many
-//! microseconds (load-shape emulation; see `PROTOCOL.md`), and
+//! the length-prefixed binary framing before submitting, and
 //! `--json` swaps the summary for one machine-readable JSON object
 //! (req/s, hit rate, client-side p50/p99 latency, per-shard hit rates)
 //! so load runs can be scripted alongside the in-process lab suites.
@@ -147,7 +145,7 @@ const USAGE: &str = "usage:
                     [--log-level error|warn|info|debug|trace] [--log-json]
                     [--exemplar-k <n>] [--exemplar-window-s <s>]
   bisched_cli submit --addr <host:port> <file.jsonl> [--repeat <k>] [--method <m>]
-                     [--clients <k>] [--stall-us <us>] [--frame json|binary]
+                     [--clients <k>] [--frame json|binary]
                      [--no-cache] [--shutdown] [--json]
                      (a `busy` answer is retried 3 times, 20 ms apart: `busy` counts
                       the requests dropped after that, `busy_answers` every `busy`
@@ -155,10 +153,10 @@ const USAGE: &str = "usage:
   bisched_cli metrics --addr <host:port>
   bisched_cli trace --addr <host:port> [--shard <i>] [--json]
   bisched_cli lab list
-  bisched_cli lab run --suite <name>[,<name>...] [--out <path>]
+  bisched_cli lab run --suite <name> [--out <path>]
                       [--reps <n>] [--warmup <n>] [--trace-out <file>]
                       [--profile-out <file>]
-                      (suites: quick, full, paper-sec4, fptas-scaling, service_scaling)
+                      (suites: quick, full, paper-sec4, fptas-scaling)
   bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
                           [--quality-threshold <pct>]";
 
@@ -507,7 +505,6 @@ struct SubmitKnobs {
     repeat: usize,
     method: Option<String>,
     no_cache: bool,
-    stall_us: Option<u64>,
     binary: bool,
 }
 
@@ -535,7 +532,6 @@ fn run_submit_client(
             let mut req = Request::solve(data.clone());
             req.id = Some((round * workload.len() + k) as u64);
             req.method = knobs.method.clone();
-            req.stall_us = knobs.stall_us;
             if knobs.no_cache {
                 req.no_cache = Some(true);
             }
@@ -600,7 +596,6 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         repeat: 1,
         method: None,
         no_cache: false,
-        stall_us: None,
         binary: false,
     };
     let mut it = args.iter();
@@ -615,7 +610,6 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
                     return Err(format!("--clients must be at least 1\n{USAGE}"));
                 }
             }
-            "--stall-us" => knobs.stall_us = Some(parse(it.next(), "--stall-us value")?),
             "--frame" => match parse::<String>(it.next(), "--frame value")?.as_str() {
                 "binary" => knobs.binary = true,
                 "json" => knobs.binary = false,
@@ -878,8 +872,6 @@ fn cmd_lab_list() -> Result<(), String> {
             configs.join(", "),
             if suite.sec4.is_some() {
                 "  + Section 4.1 tables"
-            } else if suite.service.is_some() {
-                "  + sharded-service scaling ladder"
             } else {
                 ""
             }
@@ -909,44 +901,18 @@ fn cmd_lab_run(args: &[String]) -> Result<(), String> {
         }
     }
     let name = suite_name.ok_or_else(|| format!("lab run requires --suite\n{USAGE}"))?;
-    // `--suite a,b` runs several suites and merges their cells into one
-    // report (one baseline file can then cover e.g. the solver corpus
-    // AND the service scaling ladder, and `lab compare` gates both).
-    let suites: Vec<bisched_lab::Suite> = name
-        .split(',')
-        .map(|part| {
-            bisched_lab::suite(part.trim()).ok_or_else(|| {
-                format!(
-                    "unknown suite {part:?}; registered: {}",
-                    bisched_lab::suite_names().join(", ")
-                )
-            })
-        })
-        .collect::<Result<_, String>>()?;
-    if suites.is_empty() {
-        return Err(format!("lab run requires --suite\n{USAGE}"));
-    }
+    let suite = bisched_lab::suite(&name).ok_or_else(|| {
+        format!(
+            "unknown suite {name:?}; registered: {}",
+            bisched_lab::suite_names().join(", ")
+        )
+    })?;
     // A traced/profiled lab run measures an *instrumented* suite: fine
     // for seeing where the time goes, not for committing as a baseline.
     if outs.wanted() {
         bisched_obs::start_recording(TRACE_CAPACITY);
     }
-    let mut report: Option<bisched_lab::LabReport> = None;
-    for suite in &suites {
-        let part = bisched_lab::run_suite(suite, &opts);
-        report = Some(match report.take() {
-            None => part,
-            Some(mut merged) => {
-                merged.suite = format!("{}+{}", merged.suite, part.suite);
-                merged.total_wall_s += part.total_wall_s;
-                merged.cells.extend(part.cells);
-                merged.sec4_graph = merged.sec4_graph.or(part.sec4_graph);
-                merged.sec4_alg2 = merged.sec4_alg2.or(part.sec4_alg2);
-                merged
-            }
-        });
-    }
-    let report = report.expect("at least one suite ran");
+    let report = bisched_lab::run_suite(&suite, &opts);
     outs.write()?;
     let errored: Vec<&bisched_lab::CellReport> =
         report.cells.iter().filter(|c| c.error.is_some()).collect();
@@ -957,9 +923,7 @@ fn cmd_lab_run(args: &[String]) -> Result<(), String> {
             cell.error.as_deref().unwrap_or("?")
         );
     }
-    let json_path = std::path::PathBuf::from(
-        out.unwrap_or_else(|| format!("BENCH_{}.json", name.replace(',', "+"))),
-    );
+    let json_path = std::path::PathBuf::from(out.unwrap_or_else(|| format!("BENCH_{name}.json")));
     let md_path = report
         .write_files(&json_path)
         .map_err(|e| format!("{}: {e}", json_path.display()))?;

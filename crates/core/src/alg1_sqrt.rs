@@ -10,8 +10,10 @@
 //! 3. `S1` := Algorithm 5 (the `R2` FPTAS) on the two fastest machines with
 //!    `ε = 1` — the fallback that is already `√Σp_j`-good whenever the
 //!    optimum is concentrated on `M_1, M_2`.
-//! 4. (Steps 4–10.) If `I` exists: compute the `C**_max` lower bound,
-//!    carve the machines at time `C**_max` into `M_2..M_{k'}` /
+//! 4. (Steps 4–10.) If `I` exists: compute the carving time `C**_max`
+//!    from `Σp_j − w(I)` (not a lower bound in general: `I` must hold
+//!    the big jobs, so it can be lighter than the heaviest independent
+//!    set), carve the machines at that time into `M_2..M_{k'}` /
 //!    `M_{k'+1}..M_k` / `M_1 ∪ M_{k+1}..M_m`, and list-schedule the
 //!    inequitable-coloring classes of `J ∖ I` and `I` onto those groups
 //!    (`S2`).
@@ -26,23 +28,16 @@ use bisched_model::{
 
 use crate::r2_fptas::r2_fptas;
 
-/// Result of Algorithm 1 with provenance for experiments.
+/// Result of Algorithm 1: the schedule, its makespan and the candidate
+/// that produced it.
 #[derive(Clone, Debug)]
 pub struct Alg1Result {
     /// The returned schedule.
     pub schedule: Schedule,
     /// Its makespan.
     pub makespan: Rat,
-    /// The exact `C**_max` lower bound (when the main path ran).
-    pub cstar_lower: Option<Rat>,
     /// Which candidate won: `"brute"`, `"S1"` or `"S2"`.
     pub winner: &'static str,
-    /// Makespan of the `S1` candidate (the two-machine FPTAS), when
-    /// computed — ablation experiments compare the candidates.
-    pub s1_makespan: Option<Rat>,
-    /// Makespan of the `S2` candidate (the machine-carving path), when it
-    /// was constructed.
-    pub s2_makespan: Option<Rat>,
 }
 
 /// Errors of Algorithm 1.
@@ -86,10 +81,7 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
         return Ok(Alg1Result {
             schedule: Schedule::new(Vec::new()),
             makespan: Rat::ZERO,
-            cstar_lower: Some(Rat::ZERO),
             winner: "brute",
-            s1_makespan: None,
-            s2_makespan: None,
         });
     }
     if m == 1 {
@@ -101,10 +93,7 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
         return Ok(Alg1Result {
             schedule,
             makespan,
-            cstar_lower: Some(makespan),
             winner: "brute",
-            s1_makespan: None,
-            s2_makespan: None,
         });
     }
 
@@ -125,10 +114,7 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
         return Ok(Alg1Result {
             makespan: opt.makespan,
             schedule: opt.schedule,
-            cstar_lower: Some(opt.makespan),
             winner: "brute",
-            s1_makespan: None,
-            s2_makespan: None,
         });
     }
 
@@ -144,15 +130,10 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
 
     // Step 3: S1 — Algorithm 5 on the two fastest machines with ε = 1.
     let s1 = schedule_s1(inst, &speeds)?;
-    let s1_makespan = s1.makespan(inst);
-
     let mut best = Alg1Result {
+        makespan: s1.makespan(inst),
         schedule: s1,
-        makespan: s1_makespan,
-        cstar_lower: None,
         winner: "S1",
-        s1_makespan: Some(s1_makespan),
-        s2_makespan: None,
     };
 
     // Steps 4–10: S2, only when I exists and there are spare machines.
@@ -161,7 +142,6 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
             let uncovered = total - iset.weight;
             let pmax = inst.max_processing();
             let cstar = cstar_double_max(&speeds, total, uncovered, pmax);
-            best.cstar_lower = Some(cstar);
             let caps = floor_capacities(&speeds, &cstar);
 
             // Step 7: least k ≥ 3 with caps(M_2..M_k) covering J ∖ I.
@@ -244,7 +224,6 @@ pub fn alg1_sqrt_approx(inst: &Instance) -> Result<Alg1Result, Alg1Error> {
                 let s2 = Schedule::new(assignment);
                 debug_assert!(s2.validate(inst).is_ok());
                 let s2_makespan = s2.makespan(inst);
-                best.s2_makespan = Some(s2_makespan);
                 if s2_makespan < best.makespan {
                     best.schedule = s2;
                     best.makespan = s2_makespan;
@@ -347,20 +326,16 @@ mod tests {
     }
 
     #[test]
-    fn cstar_is_a_true_lower_bound() {
-        let mut rng = StdRng::seed_from_u64(73);
-        for _ in 0..15 {
-            let n = rng.gen_range(3..=8);
-            let g = gilbert_bipartite(n / 2, n - n / 2, 0.4, &mut rng);
-            let p = JobSizes::Uniform { lo: 1, hi: 9 }.sample(n, &mut rng);
-            let inst =
-                Instance::uniform(SpeedProfile::Geometric { ratio: 2 }.speeds(3), p, g).unwrap();
-            let r = alg1_sqrt_approx(&inst).unwrap();
-            if let Some(lb) = r.cstar_lower {
-                let opt = brute_force(&inst).unwrap();
-                assert!(lb <= opt.makespan, "C** {lb} > OPT {}", opt.makespan);
-            }
-        }
+    fn a_big_star_center_still_gets_the_optimum() {
+        // The center (p = 4) is the one big job, so I = {center} and the
+        // carving time C** = 6 exceeds OPT = 4: the leaves go on M_1 and
+        // the center on M_2. S1 finds that schedule.
+        let star = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let inst = Instance::uniform(vec![10, 1, 1], vec![4, 3, 3, 3, 3], star).unwrap();
+        assert_eq!(brute_force(&inst).unwrap().makespan, Rat::integer(4));
+        let r = alg1_sqrt_approx(&inst).unwrap();
+        assert!(r.schedule.validate(&inst).is_ok());
+        assert_eq!(r.makespan, Rat::integer(4));
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod quality;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
-pub mod service_scaling;
 
 pub use compare::{compare, CompareOptions, CompareOutcome, Finding};
 pub use quality::{assess, exact_optimum, Quality, QualityOptions};
@@ -52,4 +51,3 @@ pub use runner::{percentile, run_suite, RunOptions};
 pub use scenarios::{
     suite, suite_names, GraphFamily, ModelSpec, NamedConfig, Scenario, Sec4Params, Suite,
 };
-pub use service_scaling::ServiceScalingParams;

@@ -64,17 +64,6 @@ pub fn run_suite(suite: &Suite, opts: &RunOptions) -> LabReport {
         }
         None => (None, None),
     };
-    let cells = match &suite.service {
-        // The service ladder manages its own client concurrency; it runs
-        // after the solver cells so the daemons don't compete with rayon
-        // for cores mid-measurement.
-        Some(params) => {
-            let mut cells = cells;
-            cells.extend(crate::service_scaling::run_ladder(params));
-            cells
-        }
-        None => cells,
-    };
     LabReport {
         schema: SCHEMA_VERSION,
         suite: suite.name.clone(),

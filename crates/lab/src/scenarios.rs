@@ -252,10 +252,10 @@ pub struct NamedConfig {
 }
 
 /// A suite: scenarios × configs, plus the optional Section 4.1 table
-/// pass and the optional sharded-service scaling ladder.
+/// pass.
 #[derive(Clone, Debug)]
 pub struct Suite {
-    /// Suite name (`quick`, `full`, `paper-sec4`).
+    /// Suite name (one of [`suite_names`]).
     pub name: String,
     /// The scenario corpus.
     pub scenarios: Vec<Scenario>,
@@ -263,9 +263,6 @@ pub struct Suite {
     pub configs: Vec<NamedConfig>,
     /// Whether to also run the paper's Section 4.1 random-graph tables.
     pub sec4: Option<Sec4Params>,
-    /// Whether to also run the sharded-service throughput ladder (the
-    /// `service_scaling` suite).
-    pub service: Option<crate::service_scaling::ServiceScalingParams>,
 }
 
 /// Size parameters for the Section 4.1 reproduction pass.
@@ -281,13 +278,7 @@ pub struct Sec4Params {
 
 /// Names of the registered suites.
 pub fn suite_names() -> &'static [&'static str] {
-    &[
-        "quick",
-        "full",
-        "paper-sec4",
-        "fptas-scaling",
-        "service_scaling",
-    ]
+    &["quick", "full", "paper-sec4", "fptas-scaling"]
 }
 
 /// Looks up a registered suite.
@@ -297,21 +288,7 @@ pub fn suite(name: &str) -> Option<Suite> {
         "full" => Some(full_suite()),
         "paper-sec4" => Some(paper_sec4_suite()),
         "fptas-scaling" => Some(fptas_scaling_suite()),
-        "service_scaling" => Some(service_scaling_suite()),
         _ => None,
-    }
-}
-
-/// The sharded-service throughput ladder (no solver scenarios: it boots
-/// the daemon in-process and measures cache-hit req/s at 1→8 shards —
-/// see [`crate::service_scaling`]).
-fn service_scaling_suite() -> Suite {
-    Suite {
-        name: "service_scaling".into(),
-        scenarios: Vec::new(),
-        configs: Vec::new(),
-        sec4: None,
-        service: Some(crate::service_scaling::ServiceScalingParams::default()),
     }
 }
 
@@ -648,7 +625,6 @@ fn quick_suite() -> Suite {
             race(),
         ],
         sec4: None,
-        service: None,
     }
 }
 
@@ -727,7 +703,6 @@ fn fptas_scaling_suite() -> Suite {
             fptas_eps("eps-0.05", 0.05),
         ],
         sec4: None,
-        service: None,
     }
 }
 
@@ -834,7 +809,6 @@ fn full_suite() -> Suite {
             seeds: 16,
             m: 6,
         }),
-        service: None,
     }
 }
 
@@ -850,7 +824,6 @@ fn paper_sec4_suite() -> Suite {
             seeds: 16,
             m: 6,
         }),
-        service: None,
     }
 }
 

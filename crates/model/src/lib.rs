@@ -24,6 +24,6 @@ pub use canonical::{canonicalize, Canonical};
 pub use generators::{JobSizes, SpeedProfile, UnrelatedFamily};
 pub use instance::{Instance, InstanceError, JobId, MachineEnvironment, MachineId};
 pub use io::{from_text, to_text, InstanceData, IoError};
-pub use listsched::{assign_min_completion_uniform, assign_min_completion_unrelated, lpt_order};
+pub use listsched::{assign_min_completion_uniform, lpt_order};
 pub use rational::{gcd, Rat};
 pub use schedule::{Schedule, ScheduleError};

@@ -49,26 +49,6 @@ pub fn assign_min_completion_uniform(
     }
 }
 
-/// Unrelated-machines variant: job `j` on machine `i` costs `times[i][j]`.
-pub fn assign_min_completion_unrelated(
-    times: &[Vec<u64>],
-    jobs: &[JobId],
-    group: &[MachineId],
-    loads: &mut [u64],
-    out: &mut [MachineId],
-) {
-    assert!(!group.is_empty() || jobs.is_empty(), "jobs but no machines");
-    for &j in jobs {
-        let best = group
-            .iter()
-            .copied()
-            .min_by_key(|&i| loads[i as usize] + times[i as usize][j as usize])
-            .expect("group non-empty");
-        loads[best as usize] += times[best as usize][j as usize];
-        out[j as usize] = best;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,16 +109,6 @@ mod tests {
         assign_min_completion_uniform(&speeds, &p, &[1], &[0], &mut loads, &mut out);
         assert_eq!(out[0], u32::MAX);
         assert_eq!(out[1], 0);
-    }
-
-    #[test]
-    fn unrelated_greedy_uses_matrix() {
-        let times = vec![vec![1, 100], vec![100, 1]];
-        let mut loads = [0u64; 2];
-        let mut out = [u32::MAX; 2];
-        assign_min_completion_unrelated(&times, &[0, 1], &[0, 1], &mut loads, &mut out);
-        assert_eq!(out, [0, 1]);
-        assert_eq!(loads, [1, 1]);
     }
 
     #[test]

@@ -46,13 +46,14 @@
 //! splits the keyspace N ways: because the router hashes the *canonical*
 //! fingerprint, each shard sees a disjoint slice of instances and its
 //! cache stays as effective as the single global one — there is no
-//! cross-shard duplication for relabeled resubmissions, and no lock is
-//! shared between shards on the solve path. On cache-hit traffic,
-//! aggregate throughput therefore scales near-linearly until clients or
-//! the accept loop saturate; the `service_scaling` lab suite measures
-//! exactly this (1→8 shards) and the bench gate holds the ratio. Use
-//! `bisched_cli submit --clients K` to drive a sharded daemon from K
-//! concurrent connections and print per-shard hit rates.
+//! cross-shard duplication for relabeled resubmissions. Shards share no
+//! lock on the solve path, hits included: a request touches only its own
+//! shard's cache, exemplar ring and solve slots. The unit test
+//! `a_shard_answers_while_another_holds_its_locks_and_slots` checks it:
+//! while one shard's cache and exemplar mutexes and every one of its
+//! solve slots are held, another shard still answers a cache hit and a
+//! fresh miss. Use `bisched_cli submit --clients K` to drive a sharded
+//! daemon from K concurrent connections and print per-shard hit rates.
 //!
 //! ```no_run
 //! use bisched_service::{Client, Request, ServeOptions, Service};

@@ -48,12 +48,6 @@ pub struct Request {
     /// only non-default; see `PROTOCOL.md` §v2).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub frame: Option<String>,
-    /// Benchmark aid (`solve` only): hold the request on its shard loop
-    /// for this many microseconds before answering, emulating a heavier
-    /// per-request cost. Like `no_cache`, a load-generation knob — never
-    /// set by production clients.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub stall_us: Option<u64>,
 }
 
 impl Request {
@@ -71,7 +65,6 @@ impl Request {
             no_cache: None,
             shard: None,
             frame: None,
-            stall_us: None,
         }
     }
 

@@ -125,10 +125,6 @@ struct Shard {
     slots: Slots,
     /// The shard's slow-request exemplar buffer behind the `trace` verb.
     exemplars: Mutex<SlowRing>,
-    /// Serializes `stall_us` benchmark holds within the shard (and only
-    /// within it — that is the point: the `service_scaling` suite uses
-    /// the gate to make aggregate throughput shard-bound).
-    stall_gate: Mutex<()>,
 }
 
 /// State shared by the accept loop and every connection handler.
@@ -152,7 +148,6 @@ impl Shared {
                 metrics: Metrics::default(),
                 slots: Slots::new(opts.slots_per_shard(), opts.queue_cap),
                 exemplars: Mutex::new(SlowRing::new(opts.exemplar_k, opts.exemplar_window, now)),
-                stall_gate: Mutex::new(()),
             })
             .collect();
         Shared {
@@ -806,14 +801,6 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         r
     };
 
-    // Benchmark aid: emulate a heavier per-request cost, serialized on
-    // this shard's gate so aggregate throughput is shard-bound (what the
-    // `service_scaling` lab suite measures). Never set by real clients.
-    if let Some(us) = req.stall_us.filter(|&us| us > 0) {
-        let _gate = shard.stall_gate.lock().unwrap();
-        std::thread::sleep(Duration::from_micros(us));
-    }
-
     // The cache key covers the *effective solver configuration* too: a
     // report produced under `method: greedy` must never answer a request
     // that forced an exact engine (or a different eps), and vice versa.
@@ -1131,6 +1118,64 @@ mod tests {
         for shard in &shared.shards {
             assert!(matches!(shard.slots.acquire(), Admission::Closed));
         }
+    }
+
+    #[test]
+    fn a_shard_answers_while_another_holds_its_locks_and_slots() {
+        use bisched_model::{Instance, InstanceData};
+        use std::sync::mpsc;
+        let shared = Arc::new(Shared::new(&ServeOptions {
+            workers: 4,
+            shards: 2,
+            ..ServeOptions::default()
+        }));
+        // Two non-isomorphic instances that route to shard 1.
+        let mut routed = (1..)
+            .map(|p| Instance::identical(2, vec![p, 2, 3], bisched_graph::Graph::path(3)).unwrap());
+        let mut next_on_shard_1 = || {
+            routed
+                .find(|inst| shared.shard_of(canonicalize(inst).fingerprint) == 1)
+                .unwrap()
+        };
+        let (warm, fresh) = (next_on_shard_1(), next_on_shard_1());
+        let solve = |shared: &Shared, inst: &Instance| {
+            let req = Request::solve(InstanceData::from_instance(inst));
+            let mut conn = ConnState {
+                mode: FrameMode::Json,
+                pinned: None,
+            };
+            handle_request(req, &mut conn, shared).0
+        };
+        assert_eq!(solve(&shared, &warm).cached, Some(false));
+
+        // Shard 0 (also the unpinned connection's fallback) holds its
+        // cache, its exemplar ring and every solve slot.
+        let held = &shared.shards[0];
+        let _cache = held.cache.lock().unwrap();
+        let _exemplars = held.exemplars.lock().unwrap();
+        let _slots = [0, 1].map(|k| match held.slots.acquire() {
+            Admission::Admitted(permit) => permit,
+            other => panic!("slot {k}: expected a free slot, got {other:?}"),
+        });
+        // Shard 1 must still answer a hit and a fresh miss. They run on
+        // another thread, so a shared lock fails the test by timeout
+        // instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                for inst in [warm, fresh] {
+                    let _ = tx.send(solve(&shared, &inst));
+                }
+            })
+        };
+        for cached in [true, false] {
+            let resp = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("shard 1 waited on shard 0");
+            assert_eq!((resp.status.as_str(), resp.cached), ("ok", Some(cached)));
+        }
+        worker.join().unwrap();
     }
 
     #[test]

@@ -890,3 +890,46 @@ fn overload_answers_busy_and_every_admitted_miss_finishes() {
     );
     assert_eq!(stats.errors, 0);
 }
+
+#[test]
+fn a_retired_sleep_field_neither_delays_the_answer_nor_wedges_shutdown() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+    let service = Service::start(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..ServeOptions::default()
+    })
+    .expect("start service");
+    // The request field below once slept under a shard-wide mutex for
+    // that many microseconds (u64::MAX is about 584,000 years), and
+    // shutdown waited for the sleeper. It is unknown now, and unknown
+    // fields are ignored, so the solve is answered. Both waits time out,
+    // so a regression fails the test instead of hanging it.
+    let mut raw = std::net::TcpStream::connect(service.local_addr()).expect("raw connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut lines = BufReader::new(raw.try_clone().expect("clone"));
+    raw.write_all(
+        b"{\"verb\":\"solve\",\"id\":1,\"stall_us\":18446744073709551615,\"instance\":\
+          {\"env\":\"Q\",\"speeds\":[3,1],\"processing\":[5,4,3,2],\"jobs\":4,\
+          \"edges\":[[0,1],[2,3]]}}\n",
+    )
+    .expect("write solve");
+    let mut line = String::new();
+    lines
+        .read_line(&mut line)
+        .expect("solve answered within 10 s");
+    assert!(line.contains("\"status\":\"ok\""), "got: {line}");
+
+    service.shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let _ = tx.send(service.join().solved);
+    });
+    let solved = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returned within 10 s of shutdown");
+    joiner.join().unwrap();
+    assert_eq!(solved, 1);
+}

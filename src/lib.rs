@@ -284,18 +284,16 @@
 //!
 //! ### Scaling the service
 //!
-//! Shards scale because nothing on the hot path is shared: routing by
-//! the isomorphism-invariant fingerprint sends every relabeling of an
-//! instance to the same shard's cache, and backpressure (`busy`) is a
-//! per-shard verdict. The `service_scaling` lab suite measures this
-//! end to end — it boots the daemon at 1, 2, 4, and 8 shards, drives
-//! each with shard-pinned concurrent clients under a serialized
-//! per-request stall (so the ceiling is architectural, not
-//! hardware-dependent), and CI gates near-linear aggregate throughput
-//! scaling from the committed baseline:
+//! Shards share no lock on the hit path, or anywhere else on the solve
+//! path: routing by the isomorphism-invariant fingerprint sends every
+//! relabeling of an instance to the same shard's cache, each shard owns
+//! its cache, exemplar ring and solve slots, and backpressure (`busy`)
+//! is a per-shard verdict. A unit test in the service's `server` module
+//! holds one shard's cache and exemplar mutexes and all of its solve
+//! slots, and asserts that another shard still answers a cache hit and
+//! a fresh miss. To drive a sharded daemon from concurrent clients:
 //!
 //! ```text
-//! bisched_cli lab run --suite service_scaling
 //! bisched_cli serve --shards 8 --cache-snapshot cache.bsnap &
 //! bisched_cli submit --addr 127.0.0.1:7878 w.jsonl --clients 8 --json
 //! ```

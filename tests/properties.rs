@@ -1,11 +1,11 @@
 //! Property-based invariants across the whole stack (proptest).
 
 use bisched::core::{alg1_sqrt_approx, r2_fptas, r2_two_approx};
-use bisched::exact::{q2_bipartite_exact, r2_bipartite_exact};
+use bisched::exact::{branch_and_bound, q2_bipartite_exact, r2_bipartite_exact};
 use bisched::graph::{
     bipartition, inequitable_coloring_weighted, max_weight_independent_set, maximum_matching, Graph,
 };
-use bisched::model::{floor_capacities, min_time_to_cover, Instance, Rat};
+use bisched::model::{floor_capacities, min_time_to_cover, Instance};
 use proptest::prelude::*;
 
 /// Strategy: a random bipartite graph given part sizes and an edge mask.
@@ -87,7 +87,7 @@ proptest! {
     }
 
     #[test]
-    fn alg1_respects_theorem9_budget_vs_cstar(
+    fn alg1_respects_theorem9_budget_vs_the_optimum(
         g in bipartite_graph(7),
         seed in 0u64..1000,
     ) {
@@ -96,19 +96,16 @@ proptest! {
         let inst = Instance::uniform(vec![4, 2, 1], p, g).unwrap();
         let r = alg1_sqrt_approx(&inst).unwrap();
         prop_assert!(r.schedule.validate(&inst).is_ok());
-        if let Some(lb) = r.cstar_lower {
-            if lb > Rat::ZERO {
-                let budget = (inst.total_processing() as f64).sqrt() + 1e-9;
-                // Against the C** *lower bound* — stricter than vs OPT.
-                // The paper proves the ratio vs C**; empirically both hold.
-                prop_assert!(
-                    r.makespan.ratio_to(&lb) <= budget * 4.0,
-                    "ratio vs C** exploded: {} / {}",
-                    r.makespan,
-                    lb
-                );
-            }
-        }
+        let exact = branch_and_bound(&inst, u64::MAX);
+        prop_assert!(exact.complete);
+        let opt = exact.optimum.unwrap().makespan;
+        let budget = (inst.total_processing() as f64).sqrt() + 1e-9;
+        prop_assert!(
+            r.makespan.ratio_to(&opt) <= budget,
+            "makespan {} > sqrt(sum p) * OPT {}",
+            r.makespan,
+            opt
+        );
     }
 
     #[test]
