@@ -24,7 +24,6 @@
 //!                     [--reps <n>] [--warmup <n>] [--trace-out <file>]
 //!                     [--profile-out <file>]
 //! bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
-//!                         [--quality-threshold <pct>]
 //! ```
 //!
 //! `solve` runs the `Solver` engine. `--method` names one engine
@@ -94,7 +93,8 @@
 //! `lab` drives the `bisched-lab` benchmark harness: `list` prints the
 //! scenario corpus, `run` executes a suite and writes
 //! `BENCH_<suite>.json` plus a Markdown summary, and `compare` is the
-//! perf-regression gate (nonzero exit on regression).
+//! lab gate (nonzero exit on a moved deterministic field or a timing
+//! regression).
 
 use bisched_core::{EngineOutcome, Guarantee, Method, SolveReport, SolverConfig};
 use bisched_graph::{gilbert_bipartite, is_bipartite, Components};
@@ -158,7 +158,10 @@ const USAGE: &str = "usage:
                       [--profile-out <file>]
                       (suites: quick, full, paper-sec4, fptas-scaling)
   bisched_cli lab compare <old.json> <new.json> [--fail-threshold <pct>]
-                          [--quality-threshold <pct>]";
+                          (fails when a deterministic field moves: schema, makespan,
+                           lower_bound, guarantee, error, and off races method,
+                           counters, engine_attempts; or when a p50 grows past the
+                           threshold, 75% by default)";
 
 fn parse<T: std::str::FromStr>(s: Option<&String>, what: &str) -> Result<T, String> {
     s.ok_or_else(|| format!("missing {what}\n{USAGE}"))?
@@ -950,9 +953,6 @@ fn cmd_lab_compare(args: &[String]) -> Result<(), String> {
             "--fail-threshold" => {
                 opts.fail_threshold_pct = parse(it.next(), "--fail-threshold value")?
             }
-            "--quality-threshold" => {
-                opts.quality_threshold_pct = parse(it.next(), "--quality-threshold value")?
-            }
             other if !other.starts_with("--") => paths.push(arg),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
@@ -967,13 +967,13 @@ fn cmd_lab_compare(args: &[String]) -> Result<(), String> {
     let old = load(old_path)?;
     let new = load(new_path)?;
     println!(
-        "comparing {} ({} cells) vs {} ({} cells), fail threshold +{}% p50, +{}% quality",
+        "comparing {} ({} cells) vs {} ({} cells): deterministic fields exactly, \
+         p50 at +{}%",
         old_path,
         old.cells.len(),
         new_path,
         new.cells.len(),
         opts.fail_threshold_pct,
-        opts.quality_threshold_pct
     );
     let outcome = bisched_lab::compare(&old, &new, &opts);
     print!("{}", outcome.render());
@@ -981,7 +981,8 @@ fn cmd_lab_compare(args: &[String]) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!(
-            "perf gate failed: {} regressions, {} missing cells",
+            "lab gate failed: {} drifted fields, {} regressions, {} missing cells",
+            outcome.drift.len(),
             outcome.regressions.len(),
             outcome.missing.len()
         ))

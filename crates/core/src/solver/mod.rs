@@ -225,42 +225,9 @@ impl Solver {
     ) -> Option<EngineSolution> {
         let t0 = Instant::now();
         let result = run_method(&self.config, inst, method);
-        let wall_time = t0.elapsed();
-        match result {
-            Ok(sol) => {
-                attempts.push(EngineRun {
-                    method,
-                    outcome: EngineOutcome::Solved {
-                        makespan: sol.makespan,
-                        guarantee: sol.guarantee.clone(),
-                    },
-                    stats: sol.stats.clone(),
-                    wall_time,
-                    cancelled: false,
-                });
-                Some(sol)
-            }
-            Err(EngineFailure::NotApplicable(reason)) => {
-                attempts.push(EngineRun {
-                    method,
-                    outcome: EngineOutcome::NotApplicable { reason },
-                    stats: EngineStats::new(),
-                    wall_time,
-                    cancelled: false,
-                });
-                None
-            }
-            Err(EngineFailure::Failed(reason)) => {
-                attempts.push(EngineRun {
-                    method,
-                    outcome: EngineOutcome::Failed { reason },
-                    stats: EngineStats::new(),
-                    wall_time,
-                    cancelled: false,
-                });
-                None
-            }
-        }
+        let (run, sol) = record(method, result, t0.elapsed());
+        attempts.push(run);
+        sol
     }
 
     /// The `Portfolio` policy: a concurrent race over the members.
@@ -306,9 +273,9 @@ impl Solver {
         // The calling thread is a worker too: each spawn costs tens of
         // microseconds against sub-millisecond cells, and a single
         // hardware thread runs the race inline as sequential-with-skip.
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 1..workers {
-                s.spawn(|_| race_worker());
+                s.spawn(race_worker);
             }
             race_worker();
         });
@@ -416,56 +383,24 @@ impl Solver {
             bisched_obs::span_arg(method.event_name(), "race", "member", method as u64);
         let t0 = Instant::now();
         let result = run_method_ctl(&self.config, inst, method, Some(ctl), cap);
-        let wall_time = t0.elapsed();
-        match result {
-            Ok(sol) => {
-                ctl.publish_makespan(&sol.makespan);
-                bisched_obs::instant(
-                    names::RACE_PUBLISH,
-                    "race",
-                    "makespan_floor",
-                    sol.makespan.floor(),
-                );
-                if sol.guarantee == Guarantee::Optimal {
-                    ctl.cancel();
-                    bisched_obs::instant(names::RACE_CANCEL, "race", "winner", method as u64);
-                }
-                if sol.cancelled {
-                    member_span.set_arg("cancelled_mid_run", 1);
-                }
-                let run = EngineRun {
-                    method,
-                    outcome: EngineOutcome::Solved {
-                        makespan: sol.makespan,
-                        guarantee: sol.guarantee.clone(),
-                    },
-                    stats: sol.stats.clone(),
-                    wall_time,
-                    cancelled: sol.cancelled,
-                };
-                (run, Some(sol))
+        let (run, sol) = record(method, result, t0.elapsed());
+        if let Some(sol) = &sol {
+            ctl.publish_makespan(&sol.makespan);
+            bisched_obs::instant(
+                names::RACE_PUBLISH,
+                "race",
+                "makespan_floor",
+                sol.makespan.floor(),
+            );
+            if sol.guarantee == Guarantee::Optimal {
+                ctl.cancel();
+                bisched_obs::instant(names::RACE_CANCEL, "race", "winner", method as u64);
             }
-            Err(EngineFailure::NotApplicable(reason)) => (
-                EngineRun {
-                    method,
-                    outcome: EngineOutcome::NotApplicable { reason },
-                    stats: EngineStats::new(),
-                    wall_time,
-                    cancelled: false,
-                },
-                None,
-            ),
-            Err(EngineFailure::Failed(reason)) => (
-                EngineRun {
-                    method,
-                    outcome: EngineOutcome::Failed { reason },
-                    stats: EngineStats::new(),
-                    wall_time,
-                    cancelled: false,
-                },
-                None,
-            ),
+            if sol.cancelled {
+                member_span.set_arg("cancelled_mid_run", 1);
+            }
         }
+        (run, sol)
     }
 
     /// The `Auto` policy: the module-level dispatch table, with every
@@ -555,6 +490,38 @@ impl Solver {
         }
         pick_best(candidates, attempts)
     }
+}
+
+/// The attempt record of one engine result, and the solution when it
+/// solved.
+fn record(
+    method: Method,
+    result: Result<EngineSolution, EngineFailure>,
+    wall_time: Duration,
+) -> (EngineRun, Option<EngineSolution>) {
+    let outcome = match &result {
+        Ok(sol) => EngineOutcome::Solved {
+            makespan: sol.makespan,
+            guarantee: sol.guarantee.clone(),
+        },
+        Err(EngineFailure::NotApplicable(reason)) => EngineOutcome::NotApplicable {
+            reason: reason.clone(),
+        },
+        Err(EngineFailure::Failed(reason)) => EngineOutcome::Failed {
+            reason: reason.clone(),
+        },
+    };
+    let sol = result.ok();
+    let run = EngineRun {
+        method,
+        outcome,
+        stats: sol
+            .as_ref()
+            .map_or_else(EngineStats::new, |s| s.stats.clone()),
+        wall_time,
+        cancelled: sol.as_ref().is_some_and(|s| s.cancelled),
+    };
+    (run, sol)
 }
 
 /// Picks the candidate with the smallest makespan (ties: the engine that

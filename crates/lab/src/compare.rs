@@ -1,53 +1,128 @@
-//! The perf-regression gate: `old.json` vs `new.json`, cell by cell.
+//! The lab gate: `old.json` vs `new.json`, cell by cell, in two halves.
 //!
-//! A cell regresses when its median wall time grows by more than the
-//! failure threshold (and by more than an absolute noise floor), when its
-//! solution quality (`C/LB`) degrades past the quality threshold, when it
-//! starts erroring, or when it disappears from the new report. Faster
-//! cells are reported as improvements and never fail the gate.
+//! The **exact half** holds the fields a quick-suite solve repeats run
+//! after run. Two reports whose `schema` differs fail. On every cell, a
+//! change to `makespan`, `lower_bound`, `guarantee` or `error` fails; on
+//! a cell that raced on neither side, so does a change to `method`,
+//! `counters` or `engine_attempts` (a race's winner and its counters
+//! depend on thread timing). No setting relaxes it: a change that moves
+//! these fields on purpose re-seeds the baseline.
+//!
+//! The **timing half** fails a cell whose median wall time grows by more
+//! than the failure threshold (and by more than an absolute noise floor),
+//! and a cell that disappears from the new report. Faster cells are
+//! reported as improvements and never fail the gate.
 
 use crate::report::{CellReport, LabReport};
 use std::collections::BTreeMap;
 
-/// Gate thresholds.
+/// Absolute wall-time growth (ms) below which a cell never fails the
+/// timing half: keeps micro-cells from tripping it on scheduler jitter.
+pub const MIN_ABS_MS: f64 = 0.02;
+
+/// The timing half's threshold; the exact half has none.
 #[derive(Clone, Copy, Debug)]
 pub struct CompareOptions {
     /// Fail when `p50_ms` grows by more than this percentage.
     pub fail_threshold_pct: f64,
-    /// Fail when `ratio_lb` grows by more than this percentage.
-    pub quality_threshold_pct: f64,
-    /// Absolute wall-time growth (ms) below which a cell never fails —
-    /// keeps micro-cells from tripping the gate on scheduler jitter.
-    pub min_abs_ms: f64,
 }
 
 impl Default for CompareOptions {
     fn default() -> Self {
         CompareOptions {
             fail_threshold_pct: 75.0,
-            quality_threshold_pct: 10.0,
-            min_abs_ms: 0.02,
         }
     }
 }
 
-/// One per-cell finding (regression or improvement).
+/// One exact-half finding: a deterministic field that differs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Drift {
+    /// Cell key (`scenario/config`), or `report` for the schema.
+    pub cell: String,
+    /// The field that moved.
+    pub field: &'static str,
+    /// Old value, rendered.
+    pub old: String,
+    /// New value, rendered.
+    pub new: String,
+}
+
+impl std::fmt::Display for Drift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} {} → {}",
+            self.cell, self.field, self.old, self.new
+        )
+    }
+}
+
+/// The exact half: every deterministic field of `new` that differs from
+/// `old`, schema first, then cell by cell. Cells present on one side only
+/// are the timing half's coverage check.
+pub fn drift(old: &LabReport, new: &LabReport) -> Vec<Drift> {
+    use std::fmt::Display;
+    let mut out = Vec::new();
+    // `f64`'s `Display` round-trips, so equal text is an equal value.
+    let mut check = |cell: &str, field, was: &dyn Display, now: &dyn Display| {
+        let (was, now) = (was.to_string(), now.to_string());
+        if was != now {
+            out.push(Drift {
+                cell: cell.to_string(),
+                field,
+                old: was,
+                new: now,
+            });
+        }
+    };
+    check("report", "schema", &old.schema, &new.schema);
+    let new_cells = index(new);
+    for o in &old.cells {
+        let key = o.key();
+        let Some(n) = new_cells.get(&key) else {
+            continue;
+        };
+        check(&key, "makespan", &o.makespan, &n.makespan);
+        check(&key, "lower_bound", &o.lower_bound, &n.lower_bound);
+        check(&key, "guarantee", &o.guarantee, &n.guarantee);
+        let error = |c: &CellReport| c.error.clone().unwrap_or_else(|| "none".into());
+        check(&key, "error", &error(o), &error(n));
+        if !(o.raced || n.raced) {
+            check(&key, "method", &o.method, &n.method);
+            check(&key, "counters", &pairs(&o.counters), &pairs(&n.counters));
+            let attempts = |c: &CellReport| pairs(&c.engine_attempts);
+            check(&key, "engine_attempts", &attempts(o), &attempts(n));
+        }
+    }
+    out
+}
+
+/// A report's cells by key.
+fn index(r: &LabReport) -> BTreeMap<String, &CellReport> {
+    r.cells.iter().map(|c| (c.key(), c)).collect()
+}
+
+/// `[nodes 46213, complete 1]`.
+fn pairs(list: &[(String, u64)]) -> String {
+    let items: Vec<String> = list.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// One timing-half finding (regression or improvement) on `p50_ms`.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Cell key (`scenario/config`).
     pub cell: String,
-    /// `"p50_ms"`, `"ratio_lb"`, or `"error"`.
-    pub metric: String,
-    /// Old value.
+    /// Old median, milliseconds.
     pub old: f64,
-    /// New value.
+    /// New median, milliseconds.
     pub new: f64,
     /// Relative change in percent (`(new - old) / old * 100`).
     pub delta_pct: f64,
     /// Counter attribution: what the winning engine did differently
     /// (`bnb_nodes 46k→412k, prunes/node 0.71→0.22`), built from the
-    /// cells' schema-v2 `counters`. Empty when neither side carries
-    /// counters (v1 vs v1).
+    /// cells' `counters`. Empty when neither side carries counters.
     pub attribution: String,
 }
 
@@ -55,7 +130,7 @@ impl Finding {
     fn describe(&self) -> String {
         let mut line = format!(
             "{:<40} {:>9}  {:>10.4} -> {:>10.4}  ({:+.1}%)",
-            self.cell, self.metric, self.old, self.new, self.delta_pct
+            self.cell, "p50_ms", self.old, self.new, self.delta_pct
         );
         if !self.attribution.is_empty() {
             line.push_str(" · ");
@@ -107,7 +182,7 @@ fn counter_deltas(o: &CellReport, n: &CellReport) -> String {
     let new_counters: BTreeMap<&str, u64> =
         n.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     // Largest relative movers first; a counter missing on one side (an
-    // engine change, or a v1 baseline) is shown as `—`.
+    // engine change) is shown as `—`.
     let mut moves: Vec<(f64, String)> = Vec::new();
     for (name, &nv) in &new_counters {
         match old_counters.get(name) {
@@ -176,7 +251,9 @@ fn prunes_per_node(c: &CellReport) -> Option<f64> {
 /// The gate's verdict.
 #[derive(Clone, Debug, Default)]
 pub struct CompareOutcome {
-    /// Cells that regressed (time, quality, or new errors).
+    /// The exact half's findings: deterministic fields that moved.
+    pub drift: Vec<Drift>,
+    /// Cells whose median wall time regressed.
     pub regressions: Vec<Finding>,
     /// Cells that improved past the same thresholds.
     pub improvements: Vec<Finding>,
@@ -188,13 +265,13 @@ pub struct CompareOutcome {
 }
 
 impl CompareOutcome {
-    /// `true` when the gate passes (no regressions, no lost coverage).
+    /// `true` when the gate passes (no drift, no regressions, no lost
+    /// coverage).
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.missing.is_empty()
+        self.drift.is_empty() && self.regressions.is_empty() && self.missing.is_empty()
     }
 
-    /// The regressions ranked worst-first (by relative change; new
-    /// errors, with their infinite delta, sort to the front).
+    /// The regressions ranked worst-first by relative change.
     pub fn worst_regressions(&self, k: usize) -> Vec<&Finding> {
         let mut ranked: Vec<&Finding> = self.regressions.iter().collect();
         ranked.sort_by(|a, b| {
@@ -210,6 +287,12 @@ impl CompareOutcome {
     /// Human-readable verdict for CI logs.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        if !self.drift.is_empty() {
+            out.push_str(&format!("DRIFT ({}):\n", self.drift.len()));
+            for d in &self.drift {
+                out.push_str(&format!("  {d}\n"));
+            }
+        }
         if !self.regressions.is_empty() {
             // Lead CI readers straight to the worst offenders before the
             // full (unranked) list.
@@ -263,14 +346,15 @@ fn pct(old: f64, new: f64) -> f64 {
     }
 }
 
-/// Compares two reports under the gate thresholds.
+/// Compares two reports: the exact half, then the timing half under
+/// `opts`.
 pub fn compare(old: &LabReport, new: &LabReport, opts: &CompareOptions) -> CompareOutcome {
-    let index = |r: &LabReport| -> BTreeMap<String, CellReport> {
-        r.cells.iter().map(|c| (c.key(), c.clone())).collect()
-    };
     let old_cells = index(old);
     let new_cells = index(new);
-    let mut outcome = CompareOutcome::default();
+    let mut outcome = CompareOutcome {
+        drift: drift(old, new),
+        ..CompareOutcome::default()
+    };
     for key in new_cells.keys() {
         if !old_cells.contains_key(key) {
             outcome.added.push(key.clone());
@@ -281,54 +365,27 @@ pub fn compare(old: &LabReport, new: &LabReport, opts: &CompareOptions) -> Compa
             outcome.missing.push(key.clone());
             continue;
         };
-        // One attribution per cell pair; every finding for the cell
-        // carries it, so even the ranked worst-3 excerpt explains itself.
-        let attribution = attribute(o, n);
-        match (&o.error, &n.error) {
-            (None, Some(_)) => {
-                // A cell that used to solve and now errors is the worst
-                // regression there is.
-                outcome.regressions.push(Finding {
-                    cell: key.clone(),
-                    metric: "error".into(),
-                    old: 0.0,
-                    new: 1.0,
-                    delta_pct: f64::INFINITY,
-                    attribution,
-                });
-                continue;
-            }
-            (Some(_), _) => continue, // was already broken; nothing to gate
-            (None, None) => {}
+        // An errored cell has no timings; the exact half reports the
+        // error itself.
+        if o.error.is_some() || n.error.is_some() {
+            continue;
         }
         let time_delta = pct(o.p50_ms, n.p50_ms);
         let time_finding = Finding {
             cell: key.clone(),
-            metric: "p50_ms".into(),
             old: o.p50_ms,
             new: n.p50_ms,
             delta_pct: time_delta,
-            attribution: attribution.clone(),
+            attribution: attribute(o, n),
         };
         // A shrink can never pass -100%, so a generous fail threshold
         // (CI uses several hundred percent) must not silence the
         // improvement log; cap the improvement side at -50%.
         let improve_threshold_pct = opts.fail_threshold_pct.min(50.0);
-        if time_delta > opts.fail_threshold_pct && n.p50_ms - o.p50_ms > opts.min_abs_ms {
+        if time_delta > opts.fail_threshold_pct && n.p50_ms - o.p50_ms > MIN_ABS_MS {
             outcome.regressions.push(time_finding);
-        } else if time_delta < -improve_threshold_pct && o.p50_ms - n.p50_ms > opts.min_abs_ms {
+        } else if time_delta < -improve_threshold_pct && o.p50_ms - n.p50_ms > MIN_ABS_MS {
             outcome.improvements.push(time_finding);
-        }
-        let q_delta = pct(o.ratio_lb, n.ratio_lb);
-        if q_delta > opts.quality_threshold_pct {
-            outcome.regressions.push(Finding {
-                cell: key.clone(),
-                metric: "ratio_lb".into(),
-                old: o.ratio_lb,
-                new: n.ratio_lb,
-                delta_pct: q_delta,
-                attribution,
-            });
         }
     }
     outcome
@@ -389,7 +446,7 @@ mod tests {
         let r = report(vec![cell("a", 1.0, 1.1), cell("b", 0.2, 1.0)]);
         let out = compare(&r, &r, &CompareOptions::default());
         assert!(out.passed(), "{}", out.render());
-        assert!(out.regressions.is_empty() && out.missing.is_empty());
+        assert!(out.drift.is_empty() && out.regressions.is_empty() && out.missing.is_empty());
     }
 
     #[test]
@@ -403,6 +460,7 @@ mod tests {
         let out = compare(&old, &degraded, &CompareOptions::default());
         assert!(!out.passed());
         assert_eq!(out.regressions.len(), 2);
+        assert!(out.drift.is_empty(), "timings are not exact fields");
         assert!(out.render().contains("FAIL"));
     }
 
@@ -416,11 +474,38 @@ mod tests {
 
     #[test]
     fn quality_degradation_fails_independently_of_time() {
-        let old = report(vec![cell("a", 1.0, 1.1)]);
-        let new = report(vec![cell("a", 1.0, 1.5)]);
+        // One unit of makespan on a sequential cell, at the same speed.
+        let old = report(vec![cell("a", 1.0, 1.0)]);
+        let mut new = old.clone();
+        new.cells[0].makespan = 11.0;
         let out = compare(&old, &new, &CompareOptions::default());
         assert!(!out.passed());
-        assert_eq!(out.regressions[0].metric, "ratio_lb");
+        assert!(out.regressions.is_empty());
+        assert_eq!(
+            out.drift,
+            vec![Drift {
+                cell: "a/auto".into(),
+                field: "makespan",
+                old: "10".into(),
+                new: "11".into(),
+            }]
+        );
+        assert!(
+            out.render().contains("a/auto makespan 10 → 11"),
+            "{}",
+            out.render()
+        );
+
+        // A guarantee label moves on its own.
+        let mut new = old.clone();
+        new.cells[0].guarantee = "2 * OPT".into();
+        let out = compare(&old, &new, &CompareOptions::default());
+        assert!(!out.passed());
+        assert_eq!(out.drift.len(), 1);
+        assert_eq!(
+            out.drift[0].to_string(),
+            "a/auto guarantee heuristic → 2 * OPT"
+        );
     }
 
     #[test]
@@ -436,24 +521,25 @@ mod tests {
         new.cells[1].error = Some("boom".into());
         let out = compare(&old, &new, &CompareOptions::default());
         assert!(!out.passed());
-        assert_eq!(out.regressions[0].metric, "error");
+        assert!(out.regressions.is_empty());
+        assert_eq!(out.drift.len(), 1);
+        assert_eq!(out.drift[0].to_string(), "b/auto error none → boom");
     }
 
     #[test]
-    fn worst_regressions_rank_errors_first_and_cap_at_three() {
+    fn worst_regressions_rank_by_slowdown_and_cap_at_three() {
         let old = report(vec![
             cell("a", 1.0, 1.0),
             cell("b", 1.0, 1.0),
             cell("c", 1.0, 1.0),
-            cell("d", 1.0, 1.0),
+            cell("d", 0.0, 1.0),
         ]);
-        let mut new = report(vec![
+        let new = report(vec![
             cell("a", 3.0, 1.0),  // +200%
             cell("b", 10.0, 1.0), // +900%
             cell("c", 2.5, 1.0),  // +150%
-            cell("d", 1.0, 1.0),
+            cell("d", 1.0, 1.0),  // from zero: an infinite delta
         ]);
-        new.cells[3].error = Some("boom".into());
         let out = compare(&old, &new, &CompareOptions::default());
         assert!(!out.passed());
         assert_eq!(out.regressions.len(), 4);
@@ -529,8 +615,8 @@ mod tests {
 
     #[test]
     fn v1_baselines_without_counters_do_not_break_attribution() {
-        // v1 vs v1: no counters anywhere — the finding renders without a
-        // dangling separator.
+        // No counters anywhere: the finding renders without a dangling
+        // separator.
         let old = report(vec![cell("a", 1.0, 1.0)]);
         let mut new = report(vec![cell("a", 3.0, 1.0)]);
         new.cells[0].method = "alg1".into();
@@ -538,7 +624,7 @@ mod tests {
         assert_eq!(out.regressions[0].attribution, "");
         assert!(!out.regressions[0].describe().contains(" · "));
 
-        // v1 baseline vs v2 candidate: new-side counters still show up.
+        // Counters on the new side only still show up.
         let mut new2 = report(vec![cell("a", 3.0, 1.0)]);
         counters(&mut new2.cells[0], "alg1", &[("nodes", 500)]);
         let out = compare(&old, &new2, &CompareOptions::default());
@@ -546,6 +632,17 @@ mod tests {
             out.regressions[0].attribution.contains("nodes —→500"),
             "{}",
             out.regressions[0].attribution
+        );
+
+        // A v1 report against a v2 one fails on the schema alone.
+        let mut v1 = old.clone();
+        v1.schema = 1;
+        let out = compare(&v1, &old, &CompareOptions::default());
+        assert!(!out.passed());
+        assert_eq!(out.drift.len(), 1);
+        assert_eq!(
+            out.drift[0].to_string(),
+            format!("report schema 1 → {SCHEMA_VERSION}")
         );
     }
 
@@ -561,13 +658,24 @@ mod tests {
             out.regressions[0].attribution,
             "race-dependent (method cp→branch-and-bound, nodes 1.0k→9.0k)"
         );
-        // The same deltas on sequential cells are the attributed cause.
+        // A new winner with new counters is not drift on a raced cell...
+        assert!(out.drift.is_empty(), "{}", out.render());
+        // ...but its makespan is.
+        let mut longer = new.clone();
+        longer.cells[0].makespan += 1.0;
+        let out = compare(&old, &longer, &CompareOptions::default());
+        let fields: Vec<_> = out.drift.iter().map(|d| d.field).collect();
+        assert_eq!(fields, ["makespan"]);
+        // The same deltas on sequential cells are the attributed cause,
+        // and drift.
         new.cells[0].raced = false;
         let out = compare(&old, &new, &CompareOptions::default());
         assert_eq!(
             out.regressions[0].attribution,
             "method cp→branch-and-bound, nodes 1.0k→9.0k"
         );
+        let fields: Vec<_> = out.drift.iter().map(|d| d.field).collect();
+        assert_eq!(fields, ["method", "counters", "engine_attempts"]);
     }
 
     #[test]

@@ -2,18 +2,19 @@
 //!
 //! The scenario corpus and benchmark harness of the workspace: a registry
 //! of named, seeded workload families spanning `{P, Q, R} ×` graph
-//! families ([`scenarios`]), a rayon-parallel experiment runner with
+//! families ([`scenarios`]), a sequential experiment runner with
 //! warmup, repetitions, wall-time percentiles, and quality ratios
 //! ([`runner`], [`quality`]), machine-readable `BENCH_<suite>.json`
-//! reports with Markdown summaries ([`report`]), and the perf-regression
-//! gate CI runs on every push ([`compare`](mod@compare)).
+//! reports with Markdown summaries ([`report`]), and the lab gate CI runs
+//! on every push ([`compare`](mod@compare)): exact on the deterministic
+//! fields, thresholded on wall time.
 //!
 //! Driven from the command line:
 //!
 //! ```text
 //! bisched_cli lab list
 //! bisched_cli lab run --suite quick --out BENCH_quick.json
-//! bisched_cli lab compare BENCH_baseline.json BENCH_quick.json --fail-threshold 150
+//! bisched_cli lab compare BENCH_baseline.json BENCH_quick.json --fail-threshold 300
 //! ```
 //!
 //! Programmatic use:
@@ -44,7 +45,7 @@ pub mod report;
 pub mod runner;
 pub mod scenarios;
 
-pub use compare::{compare, CompareOptions, CompareOutcome, Finding};
+pub use compare::{compare, drift, CompareOptions, CompareOutcome, Drift, Finding};
 pub use quality::{assess, exact_optimum, Quality, QualityOptions};
 pub use report::{CellReport, LabReport, SCHEMA_VERSION};
 pub use runner::{percentile, run_suite, RunOptions};

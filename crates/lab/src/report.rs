@@ -18,16 +18,15 @@
 //! }
 //! ```
 //!
-//! Cells key on `scenario/config`; the regression gate
+//! Cells key on `scenario/config`; the lab gate
 //! ([`crate::compare`](mod@crate::compare)) matches old and new reports cell-by-cell.
 //!
 //! **v1 → v2**: version 2 adds two per-cell fields — `counters` (the
 //! winning engine's `EngineStats`, last rep) and `engine_attempts`
 //! (per-engine attempt counts). Both deserialize to empty from a v1
-//! file, so `lab compare` accepts a v1 baseline against a v2 candidate:
-//! timing and quality gates work unchanged, and counter attribution
-//! simply reports the old side as absent until the baseline is
-//! re-seeded.
+//! file, but `lab compare` no longer accepts a v1 baseline against a v2
+//! run: its exact half fails two reports whose `schema` differs, so a
+//! v1 baseline is re-seeded rather than compared.
 
 use bisched_random::{Alg2Row, RandomGraphRow};
 use serde::{Deserialize, Serialize};
@@ -88,8 +87,9 @@ pub struct CellReport {
     pub engine_attempts: Vec<(String, u64)>,
     /// Whether the last timed rep was a portfolio race. A race's winner
     /// and counters vary between runs of one binary, so `lab compare`
-    /// does not attribute a raced cell's change to them. Absent (false)
-    /// in older files.
+    /// neither holds a raced cell's `method`, `counters` and
+    /// `engine_attempts` exact nor attributes its change to them. Absent
+    /// (false) in older files.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub raced: bool,
     /// Solve error, when the cell failed (timings are zero then).

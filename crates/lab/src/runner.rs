@@ -1,13 +1,12 @@
-//! The parallel experiment runner: executes a suite's
-//! (scenario × config) matrix with warmup, repetitions, wall-time
-//! percentiles, and quality ratios, fanning out over rayon.
+//! The experiment runner: executes a suite's (scenario × config) matrix
+//! with warmup, repetitions, wall-time percentiles, and quality ratios,
+//! one cell at a time, so that no two timed solves share the cores.
 
 use crate::quality::{exact_optimum, QualityOptions};
 use crate::report::{CellReport, LabReport, SCHEMA_VERSION};
 use crate::scenarios::{NamedConfig, Scenario, Sec4Params, Suite};
 use bisched_model::SpeedProfile;
 use bisched_random::{alg2_ratio_experiment, random_graph_statistics, Summary};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Runner knobs.
@@ -55,8 +54,7 @@ pub fn run_suite(suite: &Suite, opts: &RunOptions) -> LabReport {
             .map(|config| run_cell(scenario, &inst, optimum.as_ref(), config, opts))
             .collect()
     };
-    let per_scenario: Vec<Vec<CellReport>> = suite.scenarios.par_iter().map(run_scenario).collect();
-    let cells: Vec<CellReport> = per_scenario.into_iter().flatten().collect();
+    let cells: Vec<CellReport> = suite.scenarios.iter().flat_map(run_scenario).collect();
     let (sec4_graph, sec4_alg2) = match suite.sec4 {
         Some(params) => {
             let (g, a) = run_sec4(params);
@@ -229,6 +227,9 @@ mod tests {
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
     }
 
+    /// Runs the whole quick suite, checks what it covers, and holds its
+    /// deterministic fields to the committed baseline through the lab
+    /// gate's exact half.
     #[test]
     fn quick_suite_runs_and_every_cell_solves() {
         let s = suite("quick").unwrap();
@@ -254,14 +255,61 @@ mod tests {
                 cell.key()
             );
         }
-        // Instrumented engines (bnb/cp/fptas) surface their counters.
+        // Every branch-and-bound, CP or FPTAS winner carries its headline
+        // counter. Zero is legal (CP can prove at the root without a
+        // decision node), so positive work is counted over the suite.
+        let (mut instrumented, mut busy) = (0, 0);
+        for cell in &report.cells {
+            let headline = match cell.method.as_str() {
+                "branch-and-bound" | "cp" => "nodes",
+                "fptas" => "expanded",
+                _ => continue,
+            };
+            let value = cell.counters.iter().find(|(k, _)| k == headline);
+            let &(_, value) =
+                value.unwrap_or_else(|| panic!("{}: no `{headline}` counter", cell.key()));
+            instrumented += 1;
+            busy += usize::from(value > 0);
+        }
         assert!(
-            report.cells.iter().any(|c| !c.counters.is_empty()),
-            "no cell carried winner counters"
+            instrumented >= 8,
+            "only {instrumented} instrumented winners"
         );
+        assert!(
+            busy >= 8,
+            "only {busy} instrumented winners did counted work"
+        );
+        let won = |method: &str| report.cells.iter().filter(|c| c.method == method).count();
+        assert!(won("fptas") >= 4, "{} FPTAS-won cells", won("fptas"));
+        assert!(won("cp") >= 3, "{} CP-won cells", won("cp"));
+        for config in ["fptas", "cp", "race"] {
+            assert!(
+                report.cells.iter().any(|c| c.config == config),
+                "no `{config}` cells"
+            );
+        }
         // The matrix covers all three machine models.
         let models: std::collections::HashSet<_> =
             report.cells.iter().map(|c| c.model.clone()).collect();
         assert_eq!(models.len(), 3);
+
+        // Every cell is a deterministic run, so a change that moves one
+        // re-seeds the baseline in the same commit.
+        let baseline: LabReport =
+            serde_json::from_str(include_str!("../../../BENCH_baseline.json")).unwrap();
+        let keys = |r: &LabReport| r.cells.iter().map(CellReport::key).collect::<Vec<_>>();
+        assert_eq!(
+            keys(&baseline),
+            keys(&report),
+            "the baseline covers the suite"
+        );
+        let drift = crate::compare::drift(&baseline, &report);
+        let lines: Vec<String> = drift.iter().map(|d| format!("  {d}")).collect();
+        assert!(
+            drift.is_empty(),
+            "the quick suite moved from BENCH_baseline.json; if that is intended, \
+             re-seed it with `bisched_cli lab run --suite quick --out BENCH_baseline.json`:\n{}",
+            lines.join("\n")
+        );
     }
 }

@@ -4,17 +4,17 @@
 //! The three dense-conflict cells (mid-density Gilbert, 36–40 jobs) are
 //! the cells the `cp` and `race` configs exist for. CP must prove each of
 //! them within the `cp` config's node budget, branch and bound within the
-//! `race` config's, and the two proofs must agree. A registry edit that
-//! drifts a cell out of reach of either budget fails here rather than in
-//! the bench gate. Two `Q` cells pin the root bound both engines start
-//! from.
+//! `race` config's, and the two proofs must agree; the `race` config
+//! itself must prove them with CP in it. A registry edit that drifts a
+//! cell out of reach of either budget fails here. Two `Q` cells pin the
+//! root bound both engines start from.
 //!
 //! Every proof is read from the engine's own `complete` counter: a
 //! report whose makespan meets its lower bound reads `optimal` whether
 //! or not the search finished, and each of these cells' optima equals
 //! its lower bound.
 
-use bisched_core::{Method, SolveReport};
+use bisched_core::{Guarantee, Method, SolveReport, SolverConfig};
 use bisched_lab::{suite, NamedConfig, Suite};
 
 fn config<'a>(suite: &'a Suite, name: &str) -> &'a NamedConfig {
@@ -25,7 +25,7 @@ fn config<'a>(suite: &'a Suite, name: &str) -> &'a NamedConfig {
         .unwrap_or_else(|| panic!("the quick suite has a `{name}` config"))
 }
 
-fn solve(config: &bisched_core::SolverConfig, inst: &bisched_model::Instance) -> SolveReport {
+fn solve(config: &SolverConfig, inst: &bisched_model::Instance) -> SolveReport {
     config.clone().build().unwrap().solve(inst).expect("solves")
 }
 
@@ -33,6 +33,25 @@ fn solve(config: &bisched_core::SolverConfig, inst: &bisched_model::Instance) ->
 fn engine_proved(report: &SolveReport) -> bool {
     let run = report.winner_run().expect("the winner ran");
     run.stats.get("complete") == Some(1)
+}
+
+/// Whether a race of the exact engines proved its answer: the winner
+/// finished its own search, or another member's finished search
+/// cancelled the winner before its node budget ran out. The lab's race
+/// sets node budgets only, so nothing else cuts a member short.
+fn race_proved(report: &SolveReport, config: &SolverConfig) -> bool {
+    let winner = report.winner_run().expect("the winner ran");
+    let budget = match winner.method {
+        Method::Cp => config.cp_node_limit,
+        Method::BranchAndBound => config.bnb_node_limit,
+        other => panic!("{other} is not a member of the race"),
+    };
+    let other_proved = report
+        .attempts
+        .iter()
+        .any(|run| run.method != winner.method && run.stats.get("complete") == Some(1));
+    let cut_short = winner.cancelled && winner.stats.get("nodes").is_some_and(|n| n < budget);
+    engine_proved(report) || (cut_short && other_proved)
 }
 
 #[test]
@@ -116,4 +135,36 @@ fn cp_config_proves_the_q8_super_unit_cell() {
     assert!(engine_proved(&report));
     let run = report.winner_run().expect("cp ran");
     assert!(run.stats.get("nodes").unwrap() < cp.cp_node_limit);
+}
+
+/// The `race` config proves the three dense cells and
+/// `q8-gilbert-super-unit` with CP among its attempts. Branch and bound
+/// may win the race. Each of these answers meets its lower bound, which
+/// earns the `optimal` label with or without a proof, so the proof is
+/// read from the engines.
+#[test]
+fn race_config_proves_the_dense_cells_and_the_q8_super_unit_cell() {
+    let quick = suite("quick").expect("quick suite exists");
+    let race = &config(&quick, "race").config;
+    let cells: Vec<_> = quick
+        .scenarios
+        .iter()
+        .filter(|s| s.name.ends_with("-cp") || s.name == "q8-gilbert-super-unit")
+        .collect();
+    assert_eq!(cells.len(), 4);
+    for scenario in cells {
+        let report = solve(race, &scenario.build());
+        assert_eq!(report.guarantee, Guarantee::Optimal, "{}", scenario.name);
+        assert!(
+            report.attempts.iter().any(|run| run.method == Method::Cp),
+            "{}: CP never ran",
+            scenario.name
+        );
+        assert!(
+            race_proved(&report, race),
+            "{}: the race proved nothing: {:?}",
+            scenario.name,
+            report.attempts
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Experiment runners for Section 4.1: seed-parallel sweeps producing the
-//! rows of the lab's `paper-sec4` tables. The tests below hold the paper's
+//! Experiment runners for Section 4.1: sequential seed sweeps producing
+//! the rows of the lab's `paper-sec4` tables. The tests below hold the paper's
 //! claims to them: Corollary 11, Lemmas 12–14 and Theorem 19.
 
 use crate::stats::{GraphStats, Summary};
@@ -8,7 +8,6 @@ use bisched_graph::{gilbert_bipartite, EdgeProbability};
 use bisched_model::{cstar_double_max, Instance, Rat, SpeedProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One row of the coloring/matching statistics table (Corollary 11,
@@ -39,7 +38,7 @@ pub struct RandomGraphRow {
 }
 
 /// Samples `seeds` realizations of `G_{n,n,p(n)}` and aggregates the
-/// Section 4.1 statistics. Seed-parallel via rayon.
+/// Section 4.1 statistics, one seed after another.
 pub fn random_graph_statistics(
     n: usize,
     regime: EdgeProbability,
@@ -48,7 +47,6 @@ pub fn random_graph_statistics(
 ) -> RandomGraphRow {
     let p = regime.eval(n);
     let stats: Vec<GraphStats> = (0..seeds)
-        .into_par_iter()
         .map(|s| {
             let mut rng = StdRng::seed_from_u64(seed_base + s as u64);
             let g = gilbert_bipartite(n, n, p, &mut rng);
@@ -109,7 +107,6 @@ pub fn alg2_ratio_experiment(
     let p = regime.eval(n);
     let speeds = profile.speeds(m);
     let results: Vec<(f64, usize)> = (0..seeds)
-        .into_par_iter()
         .map(|s| {
             let mut rng = StdRng::seed_from_u64(seed_base + s as u64);
             let g = gilbert_bipartite(n, n, p, &mut rng);

@@ -51,8 +51,9 @@
 //! assert_eq!(report.method, Method::R2Fptas);
 //! assert_eq!(report.guarantee, Guarantee::OnePlusEps(0.05));
 //!
-//! // A portfolio races its members concurrently on the shared thread
-//! // pool: the first engine to *prove* optimality cancels the rest
+//! // A portfolio races its members concurrently: the calling thread
+//! // plus up to `available_parallelism - 1` threads it spawns and
+//! // joins. The first engine to *prove* optimality cancels the rest
 //! // (the losers' attempts are recorded with `cancelled: true`), and
 //! // the result is never worse than any member's.
 //! let portfolio = SolverConfig::new()
@@ -308,8 +309,9 @@
 //! registry of named, seeded workloads spanning `{P, Q, R} ×` graph
 //! families (complete bipartite, Gilbert's three `p(n)` regimes, crowns,
 //! cubic bipartite, forests, caterpillars, bounded-degree, and the
-//! adversarial Theorem 24 gadgets), a rayon-parallel runner with
-//! wall-time percentiles and quality ratios, and a perf-regression gate:
+//! adversarial Theorem 24 gadgets), a sequential runner with wall-time
+//! percentiles and quality ratios, and a gate that checks deterministic
+//! fields exactly and wall time against a threshold:
 //!
 //! ```text
 //! bisched_cli lab list                                    # the corpus
@@ -319,9 +321,12 @@
 //! ```
 //!
 //! `lab run` writes a machine-readable `BENCH_<suite>.json` plus a
-//! Markdown summary; `lab compare` exits nonzero when any cell's median
-//! wall time or solution quality regresses past the thresholds — CI runs
-//! it against the committed `BENCH_baseline.json` on every push. Every
+//! Markdown summary; `lab compare` exits nonzero when any deterministic
+//! field of a cell moves (makespan, lower bound, guarantee, error, and
+//! off races the winner and its counters) or its median wall time
+//! regresses past the threshold. CI runs it against the committed
+//! `BENCH_baseline.json` on every push, and `cargo test` holds an
+//! in-process quick run to the baseline's deterministic fields. Every
 //! scenario regenerates byte-identically from its embedded seed:
 //!
 //! ```
