@@ -22,7 +22,8 @@
 //! ```
 //! use bisched_lab::{compare, run_suite, suite, CompareOptions, QualityOptions, RunOptions};
 //!
-//! let quick = suite("quick").unwrap();
+//! let mut quick = suite("quick").unwrap();
+//! quick.scenarios.truncate(1); // one scenario under every config keeps the demo short
 //! let opts = RunOptions {
 //!     warmup: 0,
 //!     reps: 1,

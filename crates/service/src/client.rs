@@ -82,14 +82,10 @@ impl Client {
     /// Sends one request and reads its response in the connection's
     /// current framing.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let msg = frame::encode_message(req, self.binary)
+            .map_err(|e| ClientError::Protocol(format!("encode: {e}")))?;
+        self.writer.write_all(&msg)?;
         if self.binary {
-            let value = serde_json::to_value(req)
-                .map_err(|e| ClientError::Protocol(format!("encode: {e}")))?;
-            let mut payload = Vec::new();
-            frame::encode_value(&value, &mut payload);
-            self.writer
-                .write_all(&(payload.len() as u32).to_le_bytes())?;
-            self.writer.write_all(&payload)?;
             let mut len = [0u8; 4];
             self.reader.read_exact(&mut len)?;
             let len = u32::from_le_bytes(len);
@@ -103,9 +99,6 @@ impl Client {
             let value = frame::decode_value(&payload).map_err(ClientError::Protocol)?;
             serde_json::from_value(value).map_err(|e| ClientError::Protocol(format!("decode: {e}")))
         } else {
-            let text = serde_json::to_string(req)
-                .map_err(|e| ClientError::Protocol(format!("encode: {e}")))?;
-            writeln!(self.writer, "{text}")?;
             let mut line = String::new();
             let n = self.reader.read_line(&mut line)?;
             if n == 0 {

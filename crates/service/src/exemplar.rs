@@ -119,13 +119,25 @@ impl SlowRing {
     /// Offers one finished request. Kept iff the current window holds
     /// fewer than K exemplars or this one is slower than the fastest
     /// kept — which it then evicts.
+    #[cfg(test)]
     pub(crate) fn record(&mut self, ex: ExemplarData, now: Instant) {
+        self.record_with(ex.total_ms, now, || ex);
+    }
+
+    /// [`record`](Self::record) for a request that took `total_ms`,
+    /// calling `build` for its exemplar only if the ring keeps it.
+    pub(crate) fn record_with(
+        &mut self,
+        total_ms: f64,
+        now: Instant,
+        build: impl FnOnce() -> ExemplarData,
+    ) {
         self.roll(now);
         if self.current.len() >= self.k {
             // `current` is sorted slowest-first, so the last entry is
             // the eviction candidate.
             match self.current.last() {
-                Some(fastest) if ex.total_ms > fastest.total_ms => {
+                Some(fastest) if total_ms > fastest.total_ms => {
                     self.current.pop();
                 }
                 _ => return,
@@ -133,8 +145,8 @@ impl SlowRing {
         }
         let at = self
             .current
-            .partition_point(|kept| kept.total_ms >= ex.total_ms);
-        self.current.insert(at, ex);
+            .partition_point(|kept| kept.total_ms >= total_ms);
+        self.current.insert(at, build());
     }
 
     /// Both windows, for the `trace` verb.

@@ -23,6 +23,7 @@
 //! | `7` | array: `u32` count + that many encoded values |
 //! | `8` | object: `u32` count + that many (string, value) pairs |
 
+use serde::Serialize;
 use serde_json::{Map, Number, Value};
 
 /// Maximum accepted frame payload (16 MiB): large enough for any real
@@ -36,6 +37,27 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// so the limit keeps a frame of nested array tags from overflowing the
 /// stack.
 pub const MAX_DEPTH: usize = 128;
+
+/// One whole wire message: `msg` as a `\n`-terminated JSON line, or with
+/// `binary` as a length-prefixed frame. Sent with one `write_all`, a
+/// message leaves in one write call instead of one for the body and one
+/// for its delimiter or prefix.
+pub(crate) fn encode_message<T: Serialize>(
+    msg: &T,
+    binary: bool,
+) -> Result<Vec<u8>, serde_json::Error> {
+    if binary {
+        let mut out = vec![0; 4];
+        encode_value(&serde_json::to_value(msg)?, &mut out);
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
+        Ok(out)
+    } else {
+        let mut line = serde_json::to_string(msg)?.into_bytes();
+        line.push(b'\n');
+        Ok(line)
+    }
+}
 
 /// Encodes one value into the tagged binary form, appending to `out`.
 pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
@@ -115,7 +137,9 @@ fn decode(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         6 => Value::String(decode_str(buf, pos)?),
         7 => {
             let count = decode_len(buf, pos)?;
-            let mut items = Vec::new();
+            // Every item takes at least its tag byte, so the bytes left
+            // bound the count a corrupt prefix can make us reserve.
+            let mut items = Vec::with_capacity(count.min(buf.len() - *pos));
             for _ in 0..count {
                 items.push(decode(buf, pos, depth + 1)?);
             }
@@ -123,7 +147,7 @@ fn decode(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         }
         8 => {
             let count = decode_len(buf, pos)?;
-            let mut map = Map::new();
+            let mut map = Map::with_capacity(count.min(buf.len() - *pos));
             for _ in 0..count {
                 let k = decode_str(buf, pos)?;
                 let v = decode(buf, pos, depth + 1)?;

@@ -369,6 +369,194 @@ pub struct ShardStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exemplar::{ExemplarData, SpanData};
+
+    fn attempt(
+        method: &str,
+        reason: Option<&str>,
+        wall_ms: f64,
+        stats: &[(&str, u64)],
+    ) -> AttemptData {
+        AttemptData {
+            method: method.into(),
+            outcome: if reason.is_some() { "failed" } else { "solved" }.into(),
+            reason: reason.map(Into::into),
+            cancelled: reason.is_some(),
+            wall_ms,
+            stats: stats.iter().map(|&(n, v)| (n.into(), v)).collect(),
+        }
+    }
+
+    /// The wire bytes of each message kind, pinned: `None` fields and
+    /// empty `skip_serializing_if` fields are omitted, strings are
+    /// escaped, and floats keep their `.0`.
+    #[test]
+    fn encoded_messages_match_their_golden_bytes() {
+        let mut full = Response::error(Some(7), "bad \"quote\" \\ tab\u{1} naïve ✓\n");
+        full.method = Some("branch-and-bound".into());
+        full.guarantee = Some("optimal".into());
+        full.makespan_num = Some(u64::MAX);
+        full.makespan_den = Some(2);
+        full.lower_bound_num = Some(0);
+        full.lower_bound_den = Some(1);
+        full.assignment = Some(vec![0, 1, 0, 2]);
+        full.cached = Some(false);
+        full.time_ms = Some(12.0);
+        full.attempts = Some(vec![
+            attempt(
+                "cp",
+                Some("node budget"),
+                0.25,
+                &[("nodes", 12), ("propagations", 345)],
+            ),
+            attempt("branch-and-bound", None, 1e15, &[]),
+            attempt("fptas", None, 2.5e15, &[("expanded", 0)]),
+        ]);
+        full.stats = Some(StatsData::default());
+        full.metrics = Some("# TYPE x counter\nx 1\n".into());
+        full.exemplars = Some(TraceData {
+            window_s: 60.0,
+            k: 8,
+            window: 3,
+            current: vec![ExemplarData {
+                request_id: 41,
+                total_ms: 1.125,
+                cached: true,
+                method: None,
+                fingerprint: "00ff".into(),
+                shard: 1,
+                root: SpanData {
+                    name: "solve_request".into(),
+                    start_ms: 0.0,
+                    dur_ms: 1.125,
+                    counters: vec![],
+                    children: vec![SpanData {
+                        name: "canonicalize".into(),
+                        start_ms: 0.0,
+                        dur_ms: 0.5,
+                        counters: vec![("rounds".into(), 2)],
+                        children: vec![],
+                    }],
+                },
+            }],
+            previous: vec![],
+        });
+
+        let mut stats = Response::ok(Some(1));
+        stats.stats = Some(StatsData {
+            requests: 10,
+            solved: 8,
+            errors: 1,
+            busy: 1,
+            cache_hits: 6,
+            cache_misses: 2,
+            hit_rate: 0.75,
+            p50_ms: 0.125,
+            uptime_s: 3.0,
+            method_wins: vec![("cp".into(), 2)],
+            shards: vec![
+                ShardStats {
+                    shard: 0,
+                    requests: 4,
+                    hit_rate: 0.5,
+                    ..ShardStats::default()
+                },
+                ShardStats {
+                    shard: 1,
+                    requests: 6,
+                    p99_ms: 2.0,
+                    ..ShardStats::default()
+                },
+            ],
+            ..StatsData::default()
+        });
+
+        let mut raced = Request::solve(InstanceData {
+            env: "R".into(),
+            machines: None,
+            speeds: None,
+            processing: None,
+            times: Some(vec![vec![3, 1], vec![2, 4]]),
+            jobs: 2,
+            edges: vec![(0, 1)],
+        });
+        raced.id = Some(5);
+        raced.eps = Some(0.25);
+        raced.portfolio = Some(vec!["cp".into(), "branch-and-bound".into()]);
+        raced.race_deadline_ms = Some(500);
+
+        let golden: [(String, &str); 5] = [
+            (
+                serde_json::to_string(&full).unwrap(),
+                concat!(
+                    r#"{"status":"error","id":7,"method":"branch-and-bound","#,
+                    r#""guarantee":"optimal","makespan_num":18446744073709551615,"#,
+                    r#""makespan_den":2,"lower_bound_num":0,"lower_bound_den":1,"#,
+                    r#""assignment":[0,1,0,2],"cached":false,"time_ms":12.0,"#,
+                    r#""attempts":[{"method":"cp","outcome":"failed","#,
+                    r#""reason":"node budget","cancelled":true,"wall_ms":0.25,"#,
+                    r#""stats":[["nodes",12],["propagations",345]]},"#,
+                    r#"{"method":"branch-and-bound","outcome":"solved","#,
+                    r#""cancelled":false,"wall_ms":1000000000000000},{"method":"fptas","#,
+                    r#""outcome":"solved","cancelled":false,"wall_ms":2500000000000000,"#,
+                    r#""stats":[["expanded",0]]}],"#,
+                    r#""error":"bad \"quote\" \\ tab\u0001 naïve ✓\n","#,
+                    r#""stats":{"requests":0,"solved":0,"errors":0,"busy":0,"#,
+                    r#""cache_hits":0,"cache_misses":0,"cache_evictions":0,"#,
+                    r#""cache_len":0,"hit_rate":0.0,"batches":0,"batched_jobs":0,"#,
+                    r#""p50_ms":0.0,"p99_ms":0.0,"queue_p50_ms":0.0,"queue_p99_ms":0.0,"#,
+                    r#""solve_p50_ms":0.0,"solve_p99_ms":0.0,"canon_p50_ms":0.0,"#,
+                    r#""canon_p99_ms":0.0,"cancelled":0,"method_wins":[],"#,
+                    r#""method_cancelled":[],"uptime_s":0.0},"#,
+                    r##""metrics":"# TYPE x counter\nx 1\n","##,
+                    r#""exemplars":{"window_s":60.0,"k":8,"window":3,"#,
+                    r#""current":[{"request_id":41,"total_ms":1.125,"cached":true,"#,
+                    r#""fingerprint":"00ff","shard":1,"root":{"name":"solve_request","#,
+                    r#""start_ms":0.0,"dur_ms":1.125,"#,
+                    r#""children":[{"name":"canonicalize","start_ms":0.0,"dur_ms":0.5,"#,
+                    r#""counters":[["rounds",2]]}]}}],"previous":[]}}"#,
+                ),
+            ),
+            (
+                serde_json::to_string(&stats).unwrap(),
+                concat!(
+                    r#"{"status":"ok","id":1,"stats":{"requests":10,"solved":8,"#,
+                    r#""errors":1,"busy":1,"cache_hits":6,"cache_misses":2,"#,
+                    r#""cache_evictions":0,"cache_len":0,"hit_rate":0.75,"batches":0,"#,
+                    r#""batched_jobs":0,"p50_ms":0.125,"p99_ms":0.0,"queue_p50_ms":0.0,"#,
+                    r#""queue_p99_ms":0.0,"solve_p50_ms":0.0,"solve_p99_ms":0.0,"#,
+                    r#""canon_p50_ms":0.0,"canon_p99_ms":0.0,"cancelled":0,"#,
+                    r#""method_wins":[["cp",2]],"method_cancelled":[],"uptime_s":3.0,"#,
+                    r#""shards":[{"shard":0,"requests":4,"solved":0,"errors":0,"#,
+                    r#""busy":0,"cache_hits":0,"cache_misses":0,"cache_len":0,"#,
+                    r#""hit_rate":0.5,"p50_ms":0.0,"p99_ms":0.0,"canon_p50_ms":0.0,"#,
+                    r#""canon_p99_ms":0.0},{"shard":1,"requests":6,"solved":0,"#,
+                    r#""errors":0,"busy":0,"cache_hits":0,"cache_misses":0,"#,
+                    r#""cache_len":0,"hit_rate":0.0,"p50_ms":0.0,"p99_ms":2.0,"#,
+                    r#""canon_p50_ms":0.0,"canon_p99_ms":0.0}]}}"#,
+                ),
+            ),
+            (
+                serde_json::to_string(&raced).unwrap(),
+                concat!(
+                    r#"{"verb":"solve","id":5,"instance":{"env":"R","times":[[3,1],[2,"#,
+                    r#"4]],"jobs":2,"edges":[[0,1]]},"eps":0.25,"portfolio":["cp","#,
+                    r#""branch-and-bound"],"race_deadline_ms":500}"#,
+                ),
+            ),
+            (
+                serde_json::to_string(&Request::verb("ping")).unwrap(),
+                r#"{"verb":"ping"}"#,
+            ),
+            (
+                serde_json::to_string(&Response::ok(None)).unwrap(),
+                r#"{"status":"ok"}"#,
+            ),
+        ];
+        for (k, (encoded, expected)) in golden.iter().enumerate() {
+            assert_eq!(encoded, expected, "message {k}");
+        }
+    }
 
     #[test]
     fn protocol_doc_names_every_method() {

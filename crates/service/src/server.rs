@@ -646,27 +646,15 @@ fn decode_request(msg: &[u8], mode: FrameMode) -> Result<Request, String> {
     }
 }
 
-/// Serializes one response under the given framing.
+/// Sends one response under the given framing, in one write.
 fn write_response(
     response: &Response,
     mode: FrameMode,
-    writer: &mut TcpStream,
+    writer: &mut impl Write,
 ) -> std::io::Result<()> {
-    match mode {
-        FrameMode::Json => {
-            let text = serde_json::to_string(response)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            writeln!(writer, "{text}")
-        }
-        FrameMode::Binary => {
-            let value = serde_json::to_value(response)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-            let mut payload = Vec::new();
-            frame::encode_value(&value, &mut payload);
-            writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-            writer.write_all(&payload)
-        }
-    }
+    let msg = frame::encode_message(response, mode == FrameMode::Binary)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    writer.write_all(&msg)
 }
 
 /// The shard non-solve verbs and unrouteable errors are attributed to:
@@ -732,7 +720,7 @@ fn handle_request(
                 ),
             }
         }
-        "solve" => (handle_solve(&req, conn, shared), None),
+        "solve" => (handle_solve(req, conn, shared), None),
         other => {
             count(fallback_shard(conn, shared));
             (
@@ -743,7 +731,7 @@ fn handle_request(
     }
 }
 
-fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Response {
+fn handle_solve(mut req: Request, conn: &mut ConnState, shared: &Shared) -> Response {
     let t0 = Instant::now();
     // Mint the request id first: every span and log line this request
     // produces carries it.
@@ -759,7 +747,7 @@ fn handle_solve(req: &Request, conn: &mut ConnState, shared: &Shared) -> Respons
         shard.metrics.errors.fetch_add(1, Ordering::Relaxed);
         Response::error(id, message)
     };
-    let Some(data) = req.instance.clone() else {
+    let Some(data) = req.instance.take() else {
         return fail_unrouted("solve requires `instance`".into());
     };
     let config = match req.solver_config(&shared.base_config) {
@@ -927,20 +915,21 @@ fn finish_solve(
         "solved via {} in {total_ms:.3}ms (shard {shard_idx}, cached: {cached})",
         report.method.name()
     );
-    let exemplar = ExemplarData {
-        request_id: rid,
-        total_ms,
-        cached,
-        method: Some(report.method.name().to_string()),
-        fingerprint: format!("{:032x}", canonical.fingerprint),
-        shard: shard_idx as u64,
-        root: exemplar_tree(total_ms, canon_us, timing, report),
-    };
+    // The ring keeps K requests a window, so the exemplar (fingerprint
+    // text, span tree, counters) is built only for one it keeps.
     shard
         .exemplars
         .lock()
         .unwrap()
-        .record(exemplar, Instant::now());
+        .record_with(total_ms, Instant::now(), || ExemplarData {
+            request_id: rid,
+            total_ms,
+            cached,
+            method: Some(report.method.name().to_string()),
+            fingerprint: format!("{:032x}", canonical.fingerprint),
+            shard: shard_idx as u64,
+            root: exemplar_tree(total_ms, canon_us, timing, report),
+        });
     r
 }
 
@@ -1233,6 +1222,49 @@ mod tests {
                 baseline,
                 "variant {variant:?} must not share a cache key with the default config"
             );
+        }
+    }
+
+    #[test]
+    fn each_response_leaves_in_one_write() {
+        /// Counts `write` calls.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let response = Response::error(Some(3), "no");
+        for mode in [FrameMode::Json, FrameMode::Binary] {
+            let mut wire = Counting::default();
+            write_response(&response, mode, &mut wire).unwrap();
+            assert_eq!(wire.writes, 1, "{mode:?}");
+            // The one write carries the whole message, delimiter or
+            // length prefix included.
+            let mut pending = Pending {
+                bytes: wire.bytes,
+                scanned: 0,
+            };
+            let msg = pending
+                .next_message(mode)
+                .unwrap()
+                .expect("a whole message");
+            assert!(pending.bytes.is_empty(), "{mode:?}");
+            let decoded: Response = match mode {
+                FrameMode::Json => serde_json::from_str(std::str::from_utf8(&msg).unwrap()),
+                FrameMode::Binary => serde_json::from_value(frame::decode_value(&msg).unwrap()),
+            }
+            .unwrap();
+            assert_eq!(decoded.error.as_deref(), Some("no"));
         }
     }
 
